@@ -1,81 +1,80 @@
 #pragma once
 
-#include <atomic>
-#include <condition_variable>
 #include <cstddef>
+#include <cstdint>
 #include <functional>
-#include <memory>
-#include <mutex>
-#include <thread>
-#include <vector>
 
 namespace dpipe {
 
-/// Thread count used by parallel algorithms when the caller does not pin
-/// one: the DPIPE_THREADS environment variable if set to a positive
-/// integer, otherwise std::thread::hardware_concurrency() (minimum 1).
+/// Work below this cost runs on the calling thread alone, whoever asks for
+/// fan-out. Callers state the cost of the work they would fan out in their
+/// own units: FLOPs for matmuls and pipeline stage ops, bytes moved for
+/// elementwise sweeps. The value decides both the intra-op kernel fan-out
+/// and how many workers a pipeline wave uses; it depends only on shapes,
+/// so the dispatch decision is the same on every host.
+inline constexpr std::int64_t kParallelCostThreshold = 1 << 20;
+
+/// Worker count of the process-wide executor when nothing pins it: the
+/// DPIPE_THREADS environment variable if set to a positive integer,
+/// otherwise the number of CPUs this process may run on (its
+/// sched_getaffinity mask, so `taskset -c 0` yields 1), minimum 1.
 [[nodiscard]] int default_thread_count();
 
-/// True while the calling thread is executing inside a ThreadPool batch
-/// (as a worker or as the caller participating in its own parallel_for).
-/// parallel_for is not reentrant, so code that may run both standalone and
-/// inside a batch (the runtime's intra-op kernels) uses this to fall back
-/// to its inline path instead of touching any pool.
-[[nodiscard]] bool in_parallel_region();
+/// Execution width of the process-wide executor: its persistent worker
+/// threads plus the calling thread. The workers start on first use, from
+/// default_thread_count().
+[[nodiscard]] int executor_width();
 
-/// A small fork-join thread pool for data-parallel host-side work (the
-/// planner's (S, M, D) grid search). Workers are started once and reused
-/// across parallel_for calls; the calling thread participates in every
-/// batch, so a pool of size 1 runs everything inline with no worker
-/// threads and no synchronization on the work items.
+/// Replaces the executor's workers so that its width becomes `width`
+/// (<= 0 restores default_thread_count()). Results never depend on the
+/// width, only wall time does. Callers still inside a fork-join while the
+/// workers are replaced finish their remaining indices themselves.
+void set_executor_width(int width);
+
+namespace detail {
+void fork_join(std::size_t n, int max_width, void (*body)(void*, std::size_t),
+               void* ctx);
+}  // namespace detail
+
+/// Runs fn(i) for every i in [0, n) on the calling thread plus up to
+/// max_width - 1 executor workers (max_width <= 0: the executor's width),
+/// blocking until all are done. Only workers idle at the call join in, so
+/// the call never waits for a busy worker: a caller that finds none idle,
+/// which includes most nested calls from inside another fork-join, runs
+/// the loop inline in ascending order. Concurrent callers on different
+/// threads are allowed. The first exception thrown by fn is rethrown here;
+/// indices not yet started when it was thrown are skipped.
 ///
-/// Determinism contract: parallel_for(n, fn) invokes fn(i) exactly once for
-/// every i in [0, n); which thread runs which index is unspecified, so fn
-/// must only write to per-index state (e.g. results[i]). Under that
-/// contract the result of a parallel_for is bit-identical for any pool
-/// size, which the planner's parity tests rely on.
+/// Determinism contract: fn(i) runs exactly once for every i; which thread
+/// runs which index is unspecified, so fn must only write to per-index
+/// state (e.g. results[i]). Under that contract the result is bit-identical
+/// for any width, which the planner's and the kernels' parity tests rely
+/// on.
+template <typename Fn>
+void parallel_for(std::size_t n, int max_width, const Fn& fn) {
+  detail::fork_join(
+      n, max_width,
+      [](void* ctx, std::size_t i) { (*static_cast<const Fn*>(ctx))(i); },
+      const_cast<void*>(static_cast<const void*>(&fn)));
+}
+
+/// A width cap on the shared executor, for callers that hold on to one
+/// fan-out width. Owns no threads: constructing one is free.
 class ThreadPool {
  public:
-  /// num_threads <= 0 selects default_thread_count().
+  /// num_threads <= 0 selects the executor's width; larger values are
+  /// capped by it.
   explicit ThreadPool(int num_threads = 0);
-  ~ThreadPool();
 
-  ThreadPool(const ThreadPool&) = delete;
-  ThreadPool& operator=(const ThreadPool&) = delete;
+  /// Upper bound on the threads one parallel_for uses (the caller plus
+  /// workers idle at the call).
+  [[nodiscard]] int size() const;
 
-  /// Total execution width (worker threads + the calling thread).
-  [[nodiscard]] int size() const {
-    return static_cast<int>(workers_.size()) + 1;
-  }
-
-  /// Runs fn(i) for every i in [0, n), blocking until all are done. The
-  /// first exception thrown by fn is rethrown here (remaining indices are
-  /// skipped once an exception is recorded). Not reentrant: fn must not
-  /// call parallel_for on the same pool.
+  /// dpipe::parallel_for(n, size(), fn).
   void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn);
 
  private:
-  /// One parallel_for invocation, shared between the caller and workers.
-  struct Batch {
-    std::size_t total = 0;
-    const std::function<void(std::size_t)>* fn = nullptr;
-    std::atomic<std::size_t> next{0};       ///< Next index to claim.
-    std::atomic<std::size_t> completed{0};  ///< Indices finished/skipped.
-    std::atomic<bool> cancelled{false};     ///< Set on first exception.
-    std::exception_ptr error;               ///< Guarded by the pool mutex.
-  };
-
-  void worker_loop();
-  void run_batch(const std::shared_ptr<Batch>& batch);
-
-  std::vector<std::thread> workers_;
-  std::mutex mutex_;
-  std::condition_variable work_cv_;  ///< Signals workers: new batch/stop.
-  std::condition_variable done_cv_;  ///< Signals the caller: batch done.
-  std::shared_ptr<Batch> batch_;     ///< Active batch (null when idle).
-  std::uint64_t epoch_ = 0;          ///< Bumped per batch so workers that
-                                     ///< missed one don't rejoin it late.
-  bool stop_ = false;
+  int max_width_;
 };
 
 }  // namespace dpipe

@@ -315,10 +315,10 @@ Plan Planner::plan() const {
 
   // Adaptive granularity: estimate the grid's host work and skip the
   // heavyweight search machinery when it cannot pay for itself — both the
-  // ThreadPool fan-out AND the per-evaluation stage cache, whose
+  // executor fan-out AND the per-evaluation stage cache, whose
   // bookkeeping outweighs its savings on small single-backbone grids
   // (BENCH_planner's small-grid regression). Small grids take the true
-  // sequential path below: a plain loop, no ThreadPool construction, no
+  // sequential path below: a plain loop, no executor fan-out, no
   // cache bookkeeping. Results are bit-identical either way; only wall
   // time changes. Persistent cache stores are exempt: their warmth spans
   // plans, which is the point of having them.
@@ -396,10 +396,10 @@ Plan Planner::plan() const {
   }
 
   // Evaluation. Each index writes only results[i], so the parallel outcome
-  // is bit-identical for any pool size (see ThreadPool's contract); the
+  // is bit-identical for any width (see parallel_for's contract); the
   // reduction below runs sequentially in candidate order, reproducing the
   // sequential loop's earliest-minimum selection exactly. Small grids run
-  // the same loop inline without ever touching a ThreadPool.
+  // the same loop inline without ever touching the executor.
   std::vector<std::optional<Evaluation>> results(n);
   if (seed_index != n) {
     results[seed_index] = std::move(seed_eval);
@@ -417,9 +417,11 @@ Plan Planner::plan() const {
       evaluate_combo(i);
     }
   } else {
-    ThreadPool pool(options_.search_threads);
-    threads_used = pool.size();
-    pool.parallel_for(n, evaluate_combo);
+    const int width = executor_width();
+    threads_used = options_.search_threads > 0
+                       ? std::min(options_.search_threads, width)
+                       : width;
+    parallel_for(n, threads_used, evaluate_combo);
   }
 
   std::optional<Evaluation> best;

@@ -23,8 +23,8 @@ struct PlannerOptions {
   bool enable_fill = true;     ///< Ablation: pipeline bubble filling (§6.3).
   bool enable_partial = true;  ///< Ablation: partial-batch layers (§6.3).
   bool check_memory = true;    ///< Skip configurations that exceed HBM.
-  /// Host threads for the (S, M, D) grid search; 0 = the DPIPE_THREADS
-  /// environment variable, else all hardware threads. The selected plan and
+  /// Cap on the threads the (S, M, D) grid search fans out over on the
+  /// process-wide executor; 0 = the executor's width. The selected plan and
   /// explored list are bit-identical for every value.
   int search_threads = 0;
   /// Adaptive granularity: the grid search stays sequential (one thread)
@@ -33,7 +33,7 @@ struct PlannerOptions {
   /// bidirectional cascades — clears this threshold. Small grids (SD,
   /// ControlNet testbeds) lose more to thread-pool startup than they gain;
   /// CDM cascades clear the bar by an order of magnitude. 0 always fans
-  /// out; the plan is bit-identical either way (ThreadPool contract).
+  /// out; the plan is bit-identical either way (parallel_for contract).
   double parallel_work_threshold = 500e3;
   /// Schedule family of the candidate plans. k1F1B (the default) is the
   /// paper's single-backbone schedule; kInterleaved searches the virtual-

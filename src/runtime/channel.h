@@ -1,6 +1,5 @@
 #pragma once
 
-#include <chrono>
 #include <condition_variable>
 #include <mutex>
 #include <optional>
@@ -16,7 +15,8 @@ enum class TryPop {
   kClosed,  ///< Closed and fully drained: no value will ever arrive.
 };
 
-/// Blocking FIFO channel between pipeline stage threads.
+/// FIFO channel between pipeline stage tasks. The interpreter's tasks only
+/// use the non-blocking try_pop(); pop() blocks the calling thread.
 ///
 /// Supports cooperative shutdown: `close()` wakes every blocked consumer,
 /// after which `pop()` drains any queued values and then returns nullopt.
@@ -46,7 +46,7 @@ class Channel {
     return take_locked();
   }
 
-  /// Non-blocking pop for the cooperative wave scheduler. Dequeues into
+  /// Non-blocking pop for the wave scheduler's resumable tasks. Dequeues into
   /// `out` whenever a value is queued — including after close(), matching
   /// pop()'s drain-then-nullopt order — otherwise reports whether one can
   /// still arrive (kEmpty) or never will (kClosed).
@@ -58,15 +58,6 @@ class Channel {
       return TryPop::kValue;
     }
     return closed_ ? TryPop::kClosed : TryPop::kEmpty;
-  }
-
-  /// Like pop(), but gives up after `timeout_ms`; nullopt on timeout too.
-  [[nodiscard]] std::optional<T> pop_for(double timeout_ms) {
-    std::unique_lock<std::mutex> lock(mutex_);
-    cv_.wait_for(lock,
-                 std::chrono::duration<double, std::milli>(timeout_ms),
-                 [&] { return !queue_.empty() || closed_; });
-    return take_locked();
   }
 
   /// Marks the channel closed and wakes all blocked consumers. Idempotent.
@@ -99,14 +90,14 @@ class Channel {
   bool closed_ = false;
 };
 
-/// Thrown by a stage thread killed via PipelineRtConfig::fault — the
+/// Thrown by a stage task killed via PipelineRtConfig::fault — the
 /// test-visible stand-in for a crashed pipeline worker.
 class StageFailure : public std::runtime_error {
  public:
   using std::runtime_error::runtime_error;
 };
 
-/// Test-visible fault injection: the matching stage thread throws
+/// Test-visible fault injection: the matching stage task throws
 /// StageFailure while processing forward micro-batch `micro` of training
 /// iteration `iteration` on replica `replica`. iteration < 0 disables it.
 struct RtFaultInjection {

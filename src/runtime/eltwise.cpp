@@ -118,8 +118,8 @@ void s_adam(float* p, const float* g, float* m, float* v, const AdamConsts& c,
 
 /// Fixed fan-out block: 8K elements (32 KiB) per task. Block boundaries
 /// depend only on n and each output element is written by exactly one task,
-/// so results are identical for any pool width (including the inline
-/// fallback). Below the pool's internal cost threshold the fan-out is
+/// so results are identical for any executor width (including the inline
+/// fallback). Below kParallelCostThreshold the fan-out is
 /// skipped entirely — which covers everything the small trainer does; the
 /// parallel path exists for the wide sweeps the bench and larger models
 /// drive.

@@ -8,7 +8,7 @@ namespace dpipe::rt {
 
 // Vectorized elementwise / optimizer engine (DESIGN.md §13). Every op here
 // dispatches on the same DPIPE_SIMD level as the matmul microkernels
-// (simd.h) and fans wide sweeps out over the shared intra-op pool, under
+// (simd.h) and fans wide sweeps out over the shared executor, under
 // the same exactness contract: results are bit-identical across SIMD
 // levels, kernel modes, and thread counts. Transcendentals go through the
 // deterministic polynomial exp below, never libm.

@@ -1,15 +1,16 @@
 #include "runtime/interpreter.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
-#include <cstdlib>
+#include <condition_variable>
+#include <deque>
 #include <map>
+#include <mutex>
 #include <string>
-#include <thread>
 #include <utility>
 
 #include "cluster/comm_model.h"
+#include "common/parallel.h"
 #include "core/fill/filler.h"
 #include "core/instr/validate.h"
 #include "core/partition/partitioner.h"
@@ -22,48 +23,26 @@ namespace dpipe::rt {
 
 namespace {
 
-/// Cross-replica rendezvous realizing kAllReduceGrads: all `parties` stage
-/// threads block until the last arriver runs the reduction (under the lock,
-/// so every replica's accumulated gradients happen-before the reduce and
-/// the reduced values happen-before every waiter's optimizer step).
-/// Single-use. abort() releases waiters with a false return.
+/// Cross-replica rendezvous realizing kAllReduceGrads: the last of
+/// `parties` arriving tasks runs the reduction under the lock, so every
+/// replica's accumulated gradients happen-before the reduce and the reduced
+/// values happen-before every party's optimizer step. Single-use. Tasks
+/// never wait inside it: an arrival that finds peers missing parks its task
+/// until the last arriver wakes it.
 class ReduceBarrier {
  public:
   explicit ReduceBarrier(int parties) : parties_(parties) {}
 
-  template <typename Fn>
-  [[nodiscard]] bool arrive_and_wait(Fn&& reduce) {
-    std::unique_lock<std::mutex> lock(mutex_);
-    if (aborted_) {
-      return false;
-    }
-    if (++arrived_ == parties_) {
-      try {
-        reduce();
-      } catch (...) {
-        aborted_ = true;
-        cv_.notify_all();
-        throw;
-      }
-      done_ = true;
-      cv_.notify_all();
-      return true;
-    }
-    cv_.wait(lock, [&] { return done_ || aborted_; });
-    return !aborted_;
-  }
-
   enum class TryArrive { kReduced, kPending, kAborted };
 
-  /// Non-blocking variant for the cooperative scheduler. `arrived` is the
-  /// calling task's own registration flag: the first call registers the
-  /// arrival, later calls only poll. kReduced means the reduction has run
-  /// and the task may proceed; kPending means peers are still missing. The
-  /// last arriver runs the reduction inline with the same abort-on-throw
-  /// semantics as arrive_and_wait().
+  /// `arrived` is the calling task's own registration flag: the first call
+  /// registers the arrival, later calls only poll. kReduced means the
+  /// reduction has run and the task may proceed; kPending means peers are
+  /// still missing. The last arriver runs the reduction inline; if it
+  /// throws, the barrier aborts.
   template <typename Fn>
   [[nodiscard]] TryArrive try_arrive(bool& arrived, Fn&& reduce) {
-    std::unique_lock<std::mutex> lock(mutex_);
+    const std::lock_guard<std::mutex> lock(mutex_);
     if (aborted_) {
       return TryArrive::kAborted;
     }
@@ -74,28 +53,21 @@ class ReduceBarrier {
           reduce();
         } catch (...) {
           aborted_ = true;
-          cv_.notify_all();
           throw;
         }
         done_ = true;
-        cv_.notify_all();
-        return TryArrive::kReduced;
       }
     }
     return done_ ? TryArrive::kReduced : TryArrive::kPending;
   }
 
   void abort() {
-    {
-      const std::lock_guard<std::mutex> lock(mutex_);
-      aborted_ = true;
-    }
-    cv_.notify_all();
+    const std::lock_guard<std::mutex> lock(mutex_);
+    aborted_ = true;
   }
 
  private:
   std::mutex mutex_;
-  std::condition_variable cv_;
   int parties_;
   int arrived_ = 0;
   bool done_ = false;
@@ -108,24 +80,111 @@ class ReduceBarrier {
          kind == InstrKind::kOptimizerStep;
 }
 
-/// DPIPE_WAVE_EXEC resolution for WaveExec::kAuto: explicit env override,
-/// else serial exactly when the host has nothing to run threads on.
-[[nodiscard]] WaveExec resolve_wave_exec_auto() {
-  if (const char* env = std::getenv("DPIPE_WAVE_EXEC")) {
-    const std::string value(env);
-    if (value == "threads") {
-      return WaveExec::kThreads;
+/// Runs one wave's resumable tasks on the calling thread plus up to
+/// width - 1 idle executor workers (the participants). A participant pulls
+/// a ready task and runs it until it finishes or would block on a channel
+/// pop or an allreduce barrier; the blocked task parks, and the participant
+/// pulls the next one. The peer whose push or barrier arrival unblocks a
+/// parked task wakes it, so no thread ever waits inside a task: a
+/// participant only sleeps when no task is ready, and with width 1 the
+/// whole wave runs cooperatively on the caller. Every value a task computes
+/// is a pure function of the wave's inputs (see ProgramInterpreter), so
+/// every width and interleaving yields the same bits.
+class WaveScheduler {
+ public:
+  explicit WaveScheduler(std::size_t tasks)
+      : state_(tasks, State::kReady), remaining_(tasks) {
+    for (std::size_t t = 0; t < tasks; ++t) {
+      ready_.push_back(t);
     }
-    if (value == "serial") {
-      return WaveExec::kSerial;
-    }
-    // "auto" (or anything unrecognized) falls through to detection.
   }
-  return std::thread::hardware_concurrency() <= 1 ? WaveExec::kSerial
-                                                  : WaveExec::kThreads;
-}
 
-std::atomic<WaveExec> g_wave_exec{WaveExec::kAuto};
+  /// Something task `t` may wait on changed: a parked `t` becomes ready,
+  /// a running one is re-run once it yields.
+  void wake(std::size_t t) {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    wake_locked(t);
+  }
+
+  void wake_all() {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    for (std::size_t t = 0; t < state_.size(); ++t) {
+      wake_locked(t);
+    }
+  }
+
+  /// Runs every task to completion. step(t) runs task t from where it
+  /// stopped and returns true once it is finished, false when it parks.
+  /// Throws if no task can progress: the program would deadlock under any
+  /// schedule (validated programs never do).
+  template <typename Step>
+  void run(int width, const Step& step) {
+    parallel_for(static_cast<std::size_t>(width), width,
+                 [&](std::size_t) { participate(step); });
+    DPIPE_ENSURE(!deadlocked_, "wave deadlocked: no task can progress");
+  }
+
+ private:
+  enum class State { kReady, kRunning, kRerun, kParked, kDone };
+
+  void wake_locked(std::size_t t) {
+    if (state_[t] == State::kParked) {
+      state_[t] = State::kReady;
+      ready_.push_back(t);
+      if (sleeping_ > 0) {
+        cv_.notify_one();
+      }
+    } else if (state_[t] == State::kRunning) {
+      state_[t] = State::kRerun;
+    }
+  }
+
+  template <typename Step>
+  void participate(const Step& step) {
+    std::unique_lock<std::mutex> lock(mutex_);
+    while (remaining_ > 0 && !deadlocked_) {
+      if (ready_.empty()) {
+        if (running_ == 0) {
+          deadlocked_ = true;
+          cv_.notify_all();
+          return;
+        }
+        ++sleeping_;
+        cv_.wait(lock);
+        --sleeping_;
+        continue;
+      }
+      const std::size_t t = ready_.front();
+      ready_.pop_front();
+      state_[t] = State::kRunning;
+      ++running_;
+      lock.unlock();
+      const bool done = step(t);
+      lock.lock();
+      --running_;
+      if (done) {
+        state_[t] = State::kDone;
+        if (--remaining_ == 0) {
+          cv_.notify_all();
+        }
+      } else if (state_[t] == State::kRerun) {
+        state_[t] = State::kReady;
+        ready_.push_back(t);
+      } else {
+        state_[t] = State::kParked;
+      }
+    }
+  }
+
+  std::mutex mutex_;  ///< Guards every member below.
+  std::condition_variable cv_;  ///< Signals sleepers: ready task or end.
+  std::vector<State> state_;
+  std::deque<std::size_t> ready_;
+  std::size_t remaining_;  ///< Tasks not yet kDone.
+  int running_ = 0;
+  int sleeping_ = 0;
+  bool deadlocked_ = false;
+};
 
 /// Everything one train_wave's per-(replica, device) tasks share. Owned by
 /// train_wave's frame; tasks hold a reference.
@@ -149,21 +208,24 @@ struct TrainWave {
   std::vector<Channel<int>>& cond_gate;
   std::vector<std::unique_ptr<ReduceBarrier>>& barriers;
   std::vector<std::vector<Tensor>>& preds;
+  WaveScheduler& sched;
+
+  /// Wakes the task of the device that owns `stage` in replica g.
+  void wake(int g, int stage) const {
+    sched.wake(static_cast<std::size_t>(g) * b.program().group_size +
+               b.device_of_stage(stage));
+  }
 };
 
-/// Resumable execution state of one (replica g, device dev) training task —
-/// the historical per-thread lambda body with its locals lifted into
-/// members and an instruction cursor. One task walks its device's whole
-/// instruction stream, dispatching each op onto the owned (virtual) stage
-/// it names: per-stage inbox/barrier state is indexed by the stage's slot,
-/// so an interleaved device drives V resumable stage machines from one
-/// cursor. With one stage per device this is exactly the historical
-/// per-(replica, stage) task. The threaded scheduler calls run(true) once:
-/// identical behavior to the old thread body. The cooperative scheduler
-/// calls run(false) repeatedly: the task executes until its next channel
+/// Resumable execution state of one (replica g, device dev) training task:
+/// an instruction cursor plus the locals a thread body would hold. One task
+/// walks its device's whole instruction stream, dispatching each op onto
+/// the owned (virtual) stage it names: per-stage inbox/barrier state is
+/// indexed by the stage's slot, so an interleaved device drives V resumable
+/// stage machines from one cursor. run() executes until the next channel
 /// pop or barrier would block, returns kBlocked with all state intact, and
 /// resumes exactly where it stopped. Suspension points carry no partial
-/// arithmetic, so the two schedules produce bit-identical tensors.
+/// arithmetic, so every schedule produces bit-identical tensors.
 class DeviceExec {
  public:
   enum class Status { kBlocked, kDone };
@@ -184,46 +246,17 @@ class DeviceExec {
         local_grads_(w.M),                      // Last stage's loss grads.
         barrier_arrived_(owned_.size(), 0) {}
 
-  /// Executes instructions from the cursor. With may_block the call waits
-  /// inside channel/barrier ops and never returns kBlocked. Throws on
-  /// stage failure; an aborted wave ends the task silently (kDone), same
-  /// as the historical early `return`.
-  Status run(bool may_block);
-
-  /// Whether the latest run(false) call executed at least one instruction
-  /// (the cooperative scheduler's livelock guard).
-  [[nodiscard]] bool made_progress() const { return progressed_; }
+  /// Executes instructions from the cursor until the task blocks or its
+  /// stream ends. Throws on stage failure; an aborted wave ends the task
+  /// silently (kDone).
+  Status run();
 
  private:
   /// Marks the task finished (aborted wave): the scheduler must not resume
   /// it again.
   Status finish() {
     ip_ = stream_.size();
-    progressed_ = true;
     return Status::kDone;
-  }
-
-  enum class PopOutcome { kOk, kWouldBlock, kAborted };
-
-  template <typename T>
-  [[nodiscard]] PopOutcome pop_from(Channel<T>& ch, bool may_block, T& out) {
-    if (may_block) {
-      std::optional<T> value = ch.pop();
-      if (!value.has_value()) {
-        return PopOutcome::kAborted;
-      }
-      out = std::move(*value);
-      return PopOutcome::kOk;
-    }
-    switch (ch.try_pop(out)) {
-      case TryPop::kValue:
-        return PopOutcome::kOk;
-      case TryPop::kEmpty:
-        return PopOutcome::kWouldBlock;
-      case TryPop::kClosed:
-        return PopOutcome::kAborted;
-    }
-    return PopOutcome::kAborted;  // Unreachable.
   }
 
   TrainWave& w_;
@@ -242,11 +275,9 @@ class DeviceExec {
   std::size_t ip_ = 0;      ///< Next instruction to execute.
   std::size_t logged_ = 0;  ///< Instructions already logged (once each).
   std::vector<char> barrier_arrived_;  ///< [slot].
-  bool progressed_ = false;
 };
 
-DeviceExec::Status DeviceExec::run(bool may_block) {
-  progressed_ = false;
+DeviceExec::Status DeviceExec::run() {
   TensorPool& pool = TensorPool::global();
   while (ip_ < stream_.size()) {
     const Instruction& instr = stream_[ip_];
@@ -262,12 +293,12 @@ DeviceExec::Status DeviceExec::run(bool may_block) {
       case InstrKind::kLoadMicroBatch: {
         if (!gate_passed_) {
           int token = 0;
-          switch (pop_from(w_.cond_gate[g_], may_block, token)) {
-            case PopOutcome::kOk:
+          switch (w_.cond_gate[g_].try_pop(token)) {
+            case TryPop::kValue:
               break;
-            case PopOutcome::kWouldBlock:
+            case TryPop::kEmpty:
               return Status::kBlocked;
-            case PopOutcome::kAborted:
+            case TryPop::kClosed:
               return finish();  // Wave aborted before the inputs arrived.
           }
           gate_passed_ = true;
@@ -288,13 +319,13 @@ DeviceExec::Status DeviceExec::run(bool may_block) {
       case InstrKind::kRecvActivation: {
         const int s = instr.stage;
         Tensor recv;
-        switch (pop_from(w_.act[g_ * w_.S + (s - 1)], may_block, recv)) {
-          case PopOutcome::kOk:
+        switch (w_.act[g_ * w_.S + (s - 1)].try_pop(recv)) {
+          case TryPop::kValue:
             inbox_act_[w_.b.slot_of_stage(s)][instr.micro] = std::move(recv);
             break;
-          case PopOutcome::kWouldBlock:
+          case TryPop::kEmpty:
             return Status::kBlocked;
-          case PopOutcome::kAborted:
+          case TryPop::kClosed:
             return finish();  // Peer aborted the wave.
         }
         break;
@@ -302,13 +333,13 @@ DeviceExec::Status DeviceExec::run(bool may_block) {
       case InstrKind::kRecvGradient: {
         const int s = instr.stage;
         Tensor recv;
-        switch (pop_from(w_.grad[g_ * w_.S + s], may_block, recv)) {
-          case PopOutcome::kOk:
+        switch (w_.grad[g_ * w_.S + s].try_pop(recv)) {
+          case TryPop::kValue:
             inbox_grad_[w_.b.slot_of_stage(s)][instr.micro] = std::move(recv);
             break;
-          case PopOutcome::kWouldBlock:
+          case TryPop::kEmpty:
             return Status::kBlocked;
-          case PopOutcome::kAborted:
+          case TryPop::kClosed:
             return finish();  // Peer aborted the wave.
         }
         break;
@@ -344,6 +375,7 @@ DeviceExec::Status DeviceExec::run(bool may_block) {
                 inbox_act_[w_.b.slot_of_stage(s)][instr.micro]))) {
           return finish();  // Consumer gone: the wave is being aborted.
         }
+        w_.wake(g_, s + 1);
         break;
       }
       case InstrKind::kBackward: {
@@ -367,6 +399,7 @@ DeviceExec::Status DeviceExec::run(bool may_block) {
                 inbox_grad_[w_.b.slot_of_stage(s)][instr.micro]))) {
           return finish();  // Consumer gone: the wave is being aborted.
         }
+        w_.wake(g_, s - 1);
         break;
       }
       case InstrKind::kFrozenForward: {
@@ -414,29 +447,27 @@ DeviceExec::Status DeviceExec::run(bool may_block) {
             pool.release(std::move(avg));
           }
         };
-        if (may_block) {
-          if (!w_.barriers[s]->arrive_and_wait(reduce)) {
+        const int slot = w_.b.slot_of_stage(s);
+        bool arrived = barrier_arrived_[slot] != 0;
+        const bool first_call = !arrived;
+        const ReduceBarrier::TryArrive outcome =
+            w_.barriers[s]->try_arrive(arrived, reduce);
+        barrier_arrived_[slot] = arrived ? 1 : 0;
+        switch (outcome) {
+          case ReduceBarrier::TryArrive::kReduced:
+            if (first_call) {
+              // This arrival ran the reduction: release the parked peers.
+              for (int r = 0; r < w_.G; ++r) {
+                if (r != g_) {
+                  w_.wake(r, s);
+                }
+              }
+            }
+            break;
+          case ReduceBarrier::TryArrive::kPending:
+            return Status::kBlocked;
+          case ReduceBarrier::TryArrive::kAborted:
             return finish();  // Wave aborted while waiting for peers.
-          }
-        } else {
-          // Registering this task's arrival can complete the barrier for a
-          // peer — that counts as progress for the livelock guard.
-          bool arrived =
-              barrier_arrived_[w_.b.slot_of_stage(s)] != 0;
-          if (!arrived) {
-            progressed_ = true;
-          }
-          const ReduceBarrier::TryArrive outcome =
-              w_.barriers[s]->try_arrive(arrived, reduce);
-          barrier_arrived_[w_.b.slot_of_stage(s)] = arrived ? 1 : 0;
-          switch (outcome) {
-            case ReduceBarrier::TryArrive::kReduced:
-              break;
-            case ReduceBarrier::TryArrive::kPending:
-              return Status::kBlocked;
-            case ReduceBarrier::TryArrive::kAborted:
-              return finish();  // Wave aborted while waiting for peers.
-          }
         }
         break;
       }
@@ -455,7 +486,6 @@ DeviceExec::Status DeviceExec::run(bool may_block) {
       }
     }
     ++ip_;
-    progressed_ = true;
   }
   return Status::kDone;
 }
@@ -464,8 +494,6 @@ DeviceExec::Status DeviceExec::run(bool may_block) {
 
 const char* wave_exec_name(WaveExec mode) {
   switch (mode) {
-    case WaveExec::kAuto:
-      return "auto";
     case WaveExec::kThreads:
       return "threads";
     case WaveExec::kSerial:
@@ -475,16 +503,7 @@ const char* wave_exec_name(WaveExec mode) {
 }
 
 WaveExec wave_exec() {
-  const WaveExec mode = g_wave_exec.load(std::memory_order_relaxed);
-  if (mode != WaveExec::kAuto) {
-    return mode;
-  }
-  static const WaveExec resolved = resolve_wave_exec_auto();
-  return resolved;
-}
-
-void set_wave_exec(WaveExec mode) {
-  g_wave_exec.store(mode, std::memory_order_relaxed);
+  return executor_width() == 1 ? WaveExec::kSerial : WaveExec::kThreads;
 }
 
 ProgramBinding::ProgramBinding(const InstructionProgram& program,
@@ -644,9 +663,32 @@ ProgramBinding::ProgramBinding(const InstructionProgram& program,
 
 ProgramInterpreter::ProgramInterpreter(const DdpmProblem& problem,
                                        const ProgramBinding& binding,
-                                       int global_batch)
+                                       int global_batch, Sequential& backbone)
     : problem_(&problem), binding_(&binding), global_batch_(global_batch) {
   DPIPE_REQUIRE(global_batch >= 1, "global batch must be positive");
+  DPIPE_REQUIRE(backbone.size() == binding.module_cut().back(),
+                "backbone does not match the binding's module count");
+  // The cheapest stage op's forward FLOPs: 2 x micro-batch rows x stage
+  // parameters.
+  const std::int64_t rows = binding.rows_per_replica() / binding.num_micros();
+  for (int s = 0; s < binding.num_stages(); ++s) {
+    std::int64_t params = 0;
+    for (int i = binding.module_begin(s); i < binding.module_end(s); ++i) {
+      for (const Tensor* p : backbone.module(i).params()) {
+        params += p->numel();
+      }
+    }
+    const std::int64_t flops = 2 * rows * params;
+    min_stage_flops_ = s == 0 ? flops : std::min(min_stage_flops_, flops);
+  }
+}
+
+int ProgramInterpreter::wave_width(std::size_t tasks) const {
+  if (min_stage_flops_ < kParallelCostThreshold) {
+    return 1;
+  }
+  return static_cast<int>(
+      std::min(tasks, static_cast<std::size_t>(executor_width())));
 }
 
 double ProgramInterpreter::train_wave(
@@ -707,6 +749,17 @@ double ProgramInterpreter::train_wave(
                  "cond gate closed before the wave started");
   }
 
+  const int per_micro = b.rows_per_replica() / M;
+  std::vector<std::vector<Tensor>> preds(G);
+  for (int g = 0; g < G; ++g) {
+    preds[g].resize(M);
+  }
+  const int devices = b.program().group_size;
+  std::vector<std::exception_ptr> errors(static_cast<std::size_t>(G) *
+                                         devices);
+
+  const std::size_t num_tasks = static_cast<std::size_t>(G) * devices;
+  WaveScheduler sched(num_tasks);
   const auto abort_all = [&] {
     for (Channel<Tensor>& ch : act) {
       ch.close();
@@ -720,83 +773,30 @@ double ProgramInterpreter::train_wave(
     for (const std::unique_ptr<ReduceBarrier>& barrier : barriers) {
       barrier->abort();
     }
+    sched.wake_all();
   };
-
-  const int per_micro = b.rows_per_replica() / M;
-  std::vector<std::vector<Tensor>> preds(G);
-  for (int g = 0; g < G; ++g) {
-    preds[g].resize(M);
-  }
-  const int devices = b.program().group_size;
-  std::vector<std::exception_ptr> errors(static_cast<std::size_t>(G) *
-                                         devices);
 
   TrainWave wave{b,         *problem_,  replicas,  inputs,   global_batch_,
                  iteration, fault,      log,       S,        M,
                  G,         per_micro,  stage_params, stage_grads,
-                 act,       grad,       cond_gate, barriers, preds};
-
-  if (wave_exec() == WaveExec::kSerial) {
-    // Cooperative round-robin on this thread: every task runs until its
-    // next pop/barrier would block, then yields. Bit-identical to the
-    // threaded schedule (see WaveExec) without G*devices spawns per wave.
-    std::vector<std::unique_ptr<DeviceExec>> tasks;
-    tasks.reserve(static_cast<std::size_t>(G) * devices);
-    for (int g = 0; g < G; ++g) {
-      for (int dev = 0; dev < devices; ++dev) {
-        tasks.push_back(std::make_unique<DeviceExec>(wave, g, dev));
-      }
-    }
-    std::vector<char> done(tasks.size(), 0);
-    std::size_t remaining = tasks.size();
-    while (remaining > 0) {
-      bool progressed = false;
-      for (std::size_t t = 0; t < tasks.size(); ++t) {
-        if (done[t] != 0) {
-          continue;
-        }
-        try {
-          if (tasks[t]->run(false) == DeviceExec::Status::kDone) {
-            done[t] = 1;
-            --remaining;
-            progressed = true;
-          } else if (tasks[t]->made_progress()) {
-            progressed = true;
-          }
-        } catch (...) {
-          errors[t] = std::current_exception();
-          abort_all();
-          done[t] = 1;
-          --remaining;
-          progressed = true;
-        }
-      }
-      // A full sweep with zero progress means no runnable task exists: the
-      // program would deadlock under any scheduler. Validated programs
-      // never get here.
-      DPIPE_ENSURE(progressed,
-                   "cooperative wave deadlocked: no task can progress");
-    }
-  } else {
-    std::vector<std::thread> threads;
-    threads.reserve(static_cast<std::size_t>(G) * devices);
-    for (int g = 0; g < G; ++g) {
-      for (int dev = 0; dev < devices; ++dev) {
-        threads.emplace_back([&wave, &errors, &abort_all, g, dev, devices] {
-          try {
-            DeviceExec(wave, g, dev).run(true);
-          } catch (...) {
-            errors[static_cast<std::size_t>(g) * devices + dev] =
-                std::current_exception();
-            abort_all();
-          }
-        });
-      }
-    }
-    for (std::thread& t : threads) {
-      t.join();
+                 act,       grad,       cond_gate, barriers, preds,
+                 sched};
+  std::vector<std::unique_ptr<DeviceExec>> tasks;
+  tasks.reserve(num_tasks);
+  for (int g = 0; g < G; ++g) {
+    for (int dev = 0; dev < devices; ++dev) {
+      tasks.push_back(std::make_unique<DeviceExec>(wave, g, dev));
     }
   }
+  sched.run(wave_width(num_tasks), [&](std::size_t t) {
+    try {
+      return tasks[t]->run() == DeviceExec::Status::kDone;
+    } catch (...) {
+      errors[t] = std::current_exception();
+      abort_all();
+      return true;
+    }
+  });
   for (int dev = 0; dev < devices; ++dev) {
     for (int g = 0; g < G; ++g) {
       if (errors[static_cast<std::size_t>(g) * devices + dev] != nullptr) {
@@ -842,7 +842,7 @@ class ForwardExec {
               const ProgramInterpreter::ReplicaState& replica,
               const ProgramInterpreter::WaveInputs& inputs, int dev, int S,
               int M, int per_micro, std::vector<Channel<Tensor>>& act,
-              std::vector<Tensor>& outputs)
+              std::vector<Tensor>& outputs, WaveScheduler& sched)
       : b_(b),
         problem_(problem),
         replica_(replica),
@@ -852,13 +852,13 @@ class ForwardExec {
         per_micro_(per_micro),
         act_(act),
         outputs_(outputs),
+        sched_(sched),
         stream_(b.program().per_device[dev]),
         owned_(b.stages_of_device(dev)),
         loaded_(M),
         inbox_(owned_.size(), std::vector<Tensor>(M)) {}
 
-  Status run(bool may_block) {
-    progressed_ = false;
+  Status run() {
     while (ip_ < stream_.size()) {
       const Instruction& instr = stream_[ip_];
       switch (instr.kind) {
@@ -872,24 +872,15 @@ class ForwardExec {
         }
         case InstrKind::kRecvActivation: {
           const int s = instr.stage;
-          const int slot = b_.slot_of_stage(s);
-          if (may_block) {
-            std::optional<Tensor> recv = act_[s - 1].pop();
-            if (!recv.has_value()) {
+          Tensor recv;
+          switch (act_[s - 1].try_pop(recv)) {
+            case TryPop::kValue:
+              inbox_[b_.slot_of_stage(s)][instr.micro] = std::move(recv);
+              break;
+            case TryPop::kEmpty:
+              return Status::kBlocked;
+            case TryPop::kClosed:
               return finish();
-            }
-            inbox_[slot][instr.micro] = std::move(*recv);
-          } else {
-            Tensor recv;
-            switch (act_[s - 1].try_pop(recv)) {
-              case TryPop::kValue:
-                inbox_[slot][instr.micro] = std::move(recv);
-                break;
-              case TryPop::kEmpty:
-                return Status::kBlocked;
-              case TryPop::kClosed:
-                return finish();
-            }
           }
           break;
         }
@@ -914,33 +905,28 @@ class ForwardExec {
                   std::move(inbox_[b_.slot_of_stage(s)][instr.micro]))) {
             return finish();
           }
+          sched_.wake(static_cast<std::size_t>(b_.device_of_stage(s + 1)));
           break;
         }
         default:
           break;  // No-grad pass: backward/opt/frozen ops are inert.
       }
       ++ip_;
-      progressed_ = true;
     }
     // Discard the stashed contexts of this no-grad pass, per owned stage.
-    // Reached only on natural completion (an aborted task skips it, like
-    // the historical early thread exit).
+    // Reached only on natural completion (an aborted task skips it).
     for (const int s : owned_) {
       for (int m = 0; m < M_; ++m) {
         replica_.net->drop_context_range(b_.module_begin(s),
                                          b_.module_end(s));
       }
     }
-    progressed_ = true;
     return Status::kDone;
   }
-
-  [[nodiscard]] bool made_progress() const { return progressed_; }
 
  private:
   Status finish() {
     ip_ = stream_.size() + 1;  // Past-the-end: skip the context drop too.
-    progressed_ = true;
     return Status::kDone;
   }
 
@@ -953,12 +939,12 @@ class ForwardExec {
   int per_micro_;
   std::vector<Channel<Tensor>>& act_;
   std::vector<Tensor>& outputs_;
+  WaveScheduler& sched_;
   const std::vector<Instruction>& stream_;
   const std::vector<int>& owned_;  ///< Stages this device owns, slot order.
   std::vector<Tensor> loaded_;
   std::vector<std::vector<Tensor>> inbox_;  ///< [slot][micro].
   std::size_t ip_ = 0;
-  bool progressed_ = false;
 };
 
 }  // namespace
@@ -976,65 +962,26 @@ std::vector<Tensor> ProgramInterpreter::forward_wave(
   std::vector<Channel<Tensor>> act(S);
   std::vector<Tensor> outputs(M);
   std::vector<std::exception_ptr> errors(devices);
-  const auto abort_all = [&] {
-    for (Channel<Tensor>& ch : act) {
-      ch.close();
-    }
-  };
-
-  if (wave_exec() == WaveExec::kSerial) {
-    std::vector<std::unique_ptr<ForwardExec>> tasks;
-    tasks.reserve(devices);
-    for (int dev = 0; dev < devices; ++dev) {
-      tasks.push_back(std::make_unique<ForwardExec>(
-          b, *problem_, replica, inputs, dev, S, M, per_micro, act, outputs));
-    }
-    std::vector<char> done(tasks.size(), 0);
-    std::size_t remaining = tasks.size();
-    while (remaining > 0) {
-      bool progressed = false;
-      for (std::size_t t = 0; t < tasks.size(); ++t) {
-        if (done[t] != 0) {
-          continue;
-        }
-        try {
-          if (tasks[t]->run(false) == ForwardExec::Status::kDone) {
-            done[t] = 1;
-            --remaining;
-            progressed = true;
-          } else if (tasks[t]->made_progress()) {
-            progressed = true;
-          }
-        } catch (...) {
-          errors[t] = std::current_exception();
-          abort_all();
-          done[t] = 1;
-          --remaining;
-          progressed = true;
-        }
-      }
-      DPIPE_ENSURE(progressed,
-                   "cooperative wave deadlocked: no task can progress");
-    }
-  } else {
-    std::vector<std::thread> threads;
-    threads.reserve(devices);
-    for (int dev = 0; dev < devices; ++dev) {
-      threads.emplace_back([&, dev] {
-        try {
-          ForwardExec(b, *problem_, replica, inputs, dev, S, M, per_micro,
-                      act, outputs)
-              .run(true);
-        } catch (...) {
-          errors[dev] = std::current_exception();
-          abort_all();
-        }
-      });
-    }
-    for (std::thread& t : threads) {
-      t.join();
-    }
+  WaveScheduler sched(static_cast<std::size_t>(devices));
+  std::vector<std::unique_ptr<ForwardExec>> tasks;
+  tasks.reserve(devices);
+  for (int dev = 0; dev < devices; ++dev) {
+    tasks.push_back(std::make_unique<ForwardExec>(b, *problem_, replica,
+                                                  inputs, dev, S, M, per_micro,
+                                                  act, outputs, sched));
   }
+  sched.run(wave_width(tasks.size()), [&](std::size_t t) {
+    try {
+      return tasks[t]->run() == ForwardExec::Status::kDone;
+    } catch (...) {
+      errors[t] = std::current_exception();
+      for (Channel<Tensor>& ch : act) {
+        ch.close();
+      }
+      sched.wake_all();
+      return true;
+    }
+  });
   for (const std::exception_ptr& error : errors) {
     if (error != nullptr) {
       std::rethrow_exception(error);
@@ -1051,68 +998,44 @@ void ProgramInterpreter::run_preamble(const Tensor& cond_raw, Tensor& cond,
   if (log != nullptr) {
     log->resize(devices);
   }
-  std::vector<std::exception_ptr> errors(
-      static_cast<std::size_t>(replicas) * devices);
   // Preamble tasks are fully independent (disjoint row slices, no
-  // channels), so the serial scheduler just runs them inline in task
-  // order — same results, no spawns.
-  const auto run_device = [&](int g, int dev) {
-    const int row_offset = g * b.rows_per_replica();
-    int frozen_seen = 0;
-    TensorPool& pool = TensorPool::global();
-    for (const Instruction& instr : b.program().preamble[dev]) {
-      if (log != nullptr && g == 0) {
-        (*log)[dev].push_back(op_signature(instr));
-      }
-      // One bound slot per covered layer (see ProgramBinding).
-      for (int layer = instr.layer_begin; layer < instr.layer_end; ++layer) {
-        const ProgramBinding::FrozenSlot& slot =
-            b.preamble_frozen()[dev][frozen_seen++];
-        if (!slot.produces_cond || slot.rows.rows() == 0) {
-          continue;  // Modeled compute only.
+  // channels): a plain fork-join at the wave's width.
+  const std::size_t num_tasks = static_cast<std::size_t>(replicas) * devices;
+  std::vector<std::exception_ptr> errors(num_tasks);
+  parallel_for(num_tasks, wave_width(num_tasks), [&](std::size_t t) {
+    const int g = static_cast<int>(t) / devices;
+    const int dev = static_cast<int>(t) % devices;
+    try {
+      const int row_offset = g * b.rows_per_replica();
+      int frozen_seen = 0;
+      TensorPool& pool = TensorPool::global();
+      for (const Instruction& instr : b.program().preamble[dev]) {
+        if (log != nullptr && g == 0) {
+          (*log)[dev].push_back(op_signature(instr));
         }
-        const Tensor raw = cond_raw.slice_rows(row_offset + slot.rows.begin,
-                                               row_offset + slot.rows.end);
-        Tensor enc = problem_->encode_condition(raw);
-        const int cols = enc.cols();
-        std::copy(enc.data(), enc.data() + enc.numel(),
-                  cond.data() + static_cast<std::int64_t>(
-                                    row_offset + slot.rows.begin) *
-                                    cols);
-        pool.release(std::move(enc));
-      }
-    }
-  };
-  if (wave_exec() == WaveExec::kSerial) {
-    for (int g = 0; g < replicas; ++g) {
-      for (int dev = 0; dev < devices; ++dev) {
-        try {
-          run_device(g, dev);
-        } catch (...) {
-          errors[static_cast<std::size_t>(g) * devices + dev] =
-              std::current_exception();
-        }
-      }
-    }
-  } else {
-    std::vector<std::thread> threads;
-    threads.reserve(errors.size());
-    for (int g = 0; g < replicas; ++g) {
-      for (int dev = 0; dev < devices; ++dev) {
-        threads.emplace_back([&, g, dev] {
-          try {
-            run_device(g, dev);
-          } catch (...) {
-            errors[static_cast<std::size_t>(g) * devices + dev] =
-                std::current_exception();
+        // One bound slot per covered layer (see ProgramBinding).
+        for (int layer = instr.layer_begin; layer < instr.layer_end;
+             ++layer) {
+          const ProgramBinding::FrozenSlot& slot =
+              b.preamble_frozen()[dev][frozen_seen++];
+          if (!slot.produces_cond || slot.rows.rows() == 0) {
+            continue;  // Modeled compute only.
           }
-        });
+          const Tensor raw = cond_raw.slice_rows(
+              row_offset + slot.rows.begin, row_offset + slot.rows.end);
+          Tensor enc = problem_->encode_condition(raw);
+          const int cols = enc.cols();
+          std::copy(enc.data(), enc.data() + enc.numel(),
+                    cond.data() + static_cast<std::int64_t>(
+                                      row_offset + slot.rows.begin) *
+                                      cols);
+          pool.release(std::move(enc));
+        }
       }
+    } catch (...) {
+      errors[t] = std::current_exception();
     }
-    for (std::thread& t : threads) {
-      t.join();
-    }
-  }
+  });
   for (const std::exception_ptr& error : errors) {
     if (error != nullptr) {
       std::rethrow_exception(error);

@@ -1,5 +1,7 @@
 #pragma once
 
+#include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -11,24 +13,21 @@
 
 namespace dpipe::rt {
 
-/// How ProgramInterpreter schedules the per-(replica, stage) tasks of a
-/// wave. kThreads spawns one thread per task — the faithful analogue of one
-/// worker process per device. kSerial runs the same tasks as a cooperative
-/// round-robin on the calling thread: a task runs until its next channel
-/// pop or allreduce barrier would block, then yields. Because every value
-/// is a pure function of the inputs (see ProgramInterpreter), the two
-/// schedules are bit-identical; kSerial simply deletes the per-wave thread
-/// spawn/join and context-switch cost, which dominates on single-CPU hosts.
-/// kAuto resolves from the DPIPE_WAVE_EXEC env var ("threads" | "serial" |
-/// "auto"), defaulting to kSerial iff hardware_concurrency() <= 1.
-enum class WaveExec { kAuto, kThreads, kSerial };
+/// How pipeline waves run on this host, as reported in benchmark host
+/// stamps. ProgramInterpreter runs a wave's per-(replica, device) tasks as
+/// resumable state machines on the process-wide executor
+/// (common/parallel.h): a task runs until its next channel pop or allreduce
+/// barrier would block, then parks until the peer that unblocks it wakes
+/// it. How many executor threads a wave uses comes from the program's
+/// shapes: 1 (cooperative on the calling thread) when the cheapest stage
+/// op's forward FLOPs are below kParallelCostThreshold, else min(executor
+/// width, tasks). Every value is a pure function of the inputs, so all
+/// widths are bit-identical. wave_exec() is kSerial when the executor's
+/// width is 1 (no wave can use a second thread), else kThreads.
+enum class WaveExec { kThreads, kSerial };
 
 [[nodiscard]] const char* wave_exec_name(WaveExec mode);
-
-/// Process-wide wave scheduler selection (default kAuto). wave_exec()
-/// returns the resolved choice — never kAuto.
 [[nodiscard]] WaveExec wave_exec();
-void set_wave_exec(WaveExec mode);
 
 /// Integer row range [begin, end) within one replica's batch shard.
 struct RowRange {
@@ -141,8 +140,8 @@ class ProgramBinding {
 };
 
 /// Executes a bound InstructionProgram on the functional runtime: one
-/// thread per device walks its instruction stream over real tensors,
-/// rt::Channels carry activations/gradients between stage threads, a
+/// resumable task per device walks its instruction stream over real
+/// tensors, rt::Channels carry activations/gradients between stage tasks, a
 /// cross-replica rendezvous realizes kAllReduceGrads, and kOptimizerStep
 /// updates the stage's parameter slice in place. The cross-iteration
 /// kLoadMicroBatch fence is a channel the driver signals once the
@@ -150,12 +149,12 @@ class ProgramBinding {
 /// row slice of the *next* iteration's conditioning into the sink tensor.
 ///
 /// All data-parallel replicas execute the program concurrently
-/// (group_size x replicas threads per wave — one per device, each driving
-/// all of its owned virtual stages). Determinism: every value is a
-/// pure function of the inputs — thread interleaving cannot change results
-/// because tensors flow point-to-point, the gradient reduction runs in
-/// ascending replica order under a lock, and per-stage optimizer updates
-/// touch disjoint parameter slices.
+/// (group_size x replicas tasks per wave — one per device, each driving
+/// all of its owned virtual stages; see WaveExec for the threads they run
+/// on). Determinism: every value is a pure function of the inputs — task
+/// interleaving cannot change results because tensors flow point-to-point,
+/// the gradient reduction runs in ascending replica order under a lock, and
+/// per-stage optimizer updates touch disjoint parameter slices.
 class ProgramInterpreter {
  public:
   /// Mutable training state of one data-parallel replica.
@@ -176,8 +175,11 @@ class ProgramInterpreter {
     Tensor* next_cond = nullptr;   ///< Sink for kFrozenForward outputs.
   };
 
+  /// `backbone` is a network of the replicas' shape; only its parameter
+  /// shapes are read, to size the waves (see WaveExec).
   ProgramInterpreter(const DdpmProblem& problem,
-                     const ProgramBinding& binding, int global_batch);
+                     const ProgramBinding& binding, int global_batch,
+                     Sequential& backbone);
 
   /// One full training iteration across all replicas: 1F1B forward/backward
   /// waves, gradient allreduce, optimizer steps, and (cross-iteration mode)
@@ -195,7 +197,7 @@ class ProgramInterpreter {
       const ReplicaState& replica, const WaveInputs& inputs) const;
 
   /// Executes the iteration-0 preamble streams: every device encodes its
-  /// bound row slice of `cond_raw` into `cond` (one thread per device per
+  /// bound row slice of `cond_raw` into `cond` (one task per device per
   /// replica; rows are disjoint). Also used every iteration when
   /// cross-iteration mode is off — the program then has no steady frozen
   /// ops and the whole non-trainable part runs un-overlapped.
@@ -203,9 +205,15 @@ class ProgramInterpreter {
                     ExecutionLog* log) const;
 
  private:
+  /// Participants of a wave of `tasks` resumable tasks: 1 (cooperative on
+  /// the caller) when the cheapest stage op is below
+  /// kParallelCostThreshold, else min(executor width, tasks).
+  [[nodiscard]] int wave_width(std::size_t tasks) const;
+
   const DdpmProblem* problem_;
   const ProgramBinding* binding_;
   int global_batch_;
+  std::int64_t min_stage_flops_ = 0;  ///< Cheapest stage op's forward FLOPs.
 };
 
 /// The PipelineTrainer's program generation: a synthetic ModelDesc whose

@@ -1,50 +1,37 @@
 #pragma once
 
-// Internal interface to the shared intra-op worker pool and the runtime op
-// profiler. Not installed, not part of the public API — include only from
-// runtime kernel/eltwise TUs. The public surface (kernel_threads,
+// Internal interface to the intra-op fan-out and the runtime op profiler.
+// Not installed, not part of the public API — include only from runtime
+// kernel/eltwise TUs. The public surface (kernel_threads,
 // set_kernel_threads, set_op_profiling, op_profile) lives in kernels.h.
 //
-// One process-wide pool serves every intra-op fan-out: the packed matmul
-// task grid (kernels.cpp) and the wide elementwise/optimizer loops
-// (eltwise.cpp). Sharing one pool keeps the busy-aware entry protocol in a
-// single place: pipeline stage threads call ops concurrently, so entry is
-// guarded by a try-lock, and a loser only degrades to the caller-inline
-// loop when a fan-out batch is *genuinely* in flight (see intraop.cpp).
+// Every intra-op fan-out — the packed matmul task grid (kernels.cpp) and
+// the wide elementwise/optimizer loops (eltwise.cpp) — runs on the
+// process-wide executor (common/parallel.h). It recruits only idle
+// workers, so kernels called from pipeline wave tasks that occupy every
+// worker run inline.
 //
 // Determinism contract: callers decompose work into tasks whose boundaries
 // depend only on the problem shape (never on the thread count), and every
 // output element is written whole by exactly one task — so results are
-// bit-identical for any pool width, including the inline fallback.
+// bit-identical for any executor width, including the inline path.
 
 #include <cstdint>
 
+#include "common/parallel.h"
+
 namespace dpipe::rt::detail {
 
-/// Runs fn(ctx, t) for every task t in [0, num_tasks), fanning out over the
-/// shared intra-op pool when want_parallel is set, the work is above the
-/// internal FLOP/byte threshold embodied in `cost` (callers pass their
-/// total work estimate; the pool skips the fan-out for small `cost`), and
-/// the pool is neither nested inside another batch nor busy. Otherwise the
-/// tasks run inline on the calling thread, in ascending order.
-void intraop_run_tasks(int num_tasks, std::int64_t cost, bool want_parallel,
-                       void (*fn)(void* ctx, int task), void* ctx);
-
-/// Type-safe wrapper: no allocation, the callable lives on the caller's
-/// stack for the duration of the batch.
+/// Runs fn(t) for every task t in [0, num_tasks) on the executor when
+/// want_parallel is set and the work (`cost`: FLOPs or bytes moved) is at
+/// least kParallelCostThreshold; otherwise inline, in ascending order.
 template <typename Fn>
 void intraop_for_each_task(int num_tasks, std::int64_t cost,
                            bool want_parallel, const Fn& fn) {
-  intraop_run_tasks(
-      num_tasks, cost, want_parallel,
-      [](void* ctx, int t) { (*static_cast<const Fn*>(ctx))(t); },
-      const_cast<void*>(static_cast<const void*>(&fn)));
+  parallel_for(static_cast<std::size_t>(num_tasks),
+               want_parallel && cost >= kParallelCostThreshold ? 0 : 1,
+               [&](std::size_t t) { fn(static_cast<int>(t)); });
 }
-
-/// Current pool width / rebuild hooks backing kernel_threads() and
-/// set_kernel_threads() in kernels.h.
-[[nodiscard]] int intraop_pool_width();
-void set_intraop_pool_width(int num_threads);
 
 // --- Runtime op profiler (backing kernels.h set_op_profiling) ------------
 // Cheap enough to leave compiled in: one relaxed atomic load per op when

@@ -133,9 +133,8 @@ const Microkernels& active_microkernels() {
   return detail::scalar_microkernels();
 }
 
-// The intra-op fan-out itself lives in intraop.cpp now (shared with the
-// eltwise engine); for_each_task below is a thin alias that keeps the call
-// sites readable.
+// The intra-op fan-out lives in intraop.h (shared with the eltwise engine);
+// for_each_task below is a thin alias that keeps the call sites readable.
 template <typename Fn>
 void for_each_task(int num_tasks, std::int64_t flops, bool want_parallel,
                    const Fn& fn) {
@@ -496,11 +495,9 @@ void set_kernel_mode(KernelMode mode) {
   g_mode.store(mode, std::memory_order_relaxed);
 }
 
-int kernel_threads() { return detail::intraop_pool_width(); }
+int kernel_threads() { return executor_width(); }
 
-void set_kernel_threads(int num_threads) {
-  detail::set_intraop_pool_width(num_threads);
-}
+void set_kernel_threads(int num_threads) { set_executor_width(num_threads); }
 
 void matmul_into(Tensor& out, const Tensor& a, const Tensor& b,
                  KernelMode mode, const MatmulEpilogue& epilogue) {

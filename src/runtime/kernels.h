@@ -35,11 +35,13 @@ enum class KernelMode {
 [[nodiscard]] KernelMode kernel_mode();
 void set_kernel_mode(KernelMode mode);
 
-/// Width of the intra-op worker pool. The pool is created lazily from
-/// DPIPE_THREADS / hardware_concurrency; set_kernel_threads(n) rebuilds it
-/// with n threads (n <= 0 restores the default). Results never depend on
-/// this value — the task decomposition is fixed and every output element is
-/// computed whole by one task — only wall time does.
+/// Width of the process-wide executor (common/parallel.h) that runs intra-op
+/// fan-out, pipeline waves and the planner: its worker threads plus the
+/// calling thread. It starts at DPIPE_THREADS, else the CPUs this process
+/// may run on; set_kernel_threads(n) replaces the workers so the width is n
+/// (n <= 0 restores the default). Results never depend on this value — the
+/// task decomposition is fixed and every output element is computed whole
+/// by one task — only wall time does.
 [[nodiscard]] int kernel_threads();
 void set_kernel_threads(int num_threads);
 

@@ -95,7 +95,7 @@ void PipelineTrainer::init(const DdpmProblem& problem,
   if (config_.fault.armed()) {
     arm_fault(config_.fault);
   }
-  interpreter_.emplace(problem, *binding_, config_.global_batch);
+  interpreter_.emplace(problem, *binding_, config_.global_batch, *probe);
   for (int g = 0; g < config_.data_parallel_degree; ++g) {
     Replica replica;
     replica.net = problem.make_backbone();  // Same seed: identical weights.
@@ -215,7 +215,7 @@ void PipelineTrainer::train_one_iteration() {
   }
 
   // The trainable wave: all replicas execute the program concurrently
-  // (stages x replicas threads); allreduce + optimizer steps are
+  // (stages x replicas tasks); allreduce + optimizer steps are
   // instructions inside it.
   const double sse =
       interpreter_->train_wave(states, wave, iteration_, config_.fault, log);
@@ -252,7 +252,7 @@ void PipelineTrainer::train(int iterations) {
     try {
       train_one_iteration();
     } catch (...) {
-      // The wave already joined its threads; scrub the partial gradients
+      // The wave has finished all its tasks; scrub the partial gradients
       // and stashed contexts so destruction (or restore) is clean.
       failed_ = true;
       reset_transient_state();

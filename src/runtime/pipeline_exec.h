@@ -32,7 +32,7 @@ struct PipelineRtConfig {
   /// after every `checkpoint_interval`-th iteration; last_checkpoint()
   /// exposes the most recent one for crash recovery.
   int checkpoint_interval = 0;
-  RtFaultInjection fault;  ///< Kill-a-stage-thread injection point.
+  RtFaultInjection fault;  ///< Kill-a-stage-task injection point.
   /// Record every iteration's per-device op order (execution_log()) for
   /// cross-backend parity checks against occupancy_trace() and the engine.
   bool record_execution = false;
@@ -120,8 +120,8 @@ void save_checkpoint(std::ostream& out, const TrainerCheckpoint& ckpt);
 /// ScheduleBuilder::build_1f1b -> BubbleFiller -> generate_instructions)
 /// into the same InstructionProgram the simulated engine replays, validates
 /// it (ProgramValidator), binds it onto the runtime model (ProgramBinding),
-/// and executes it with the ProgramInterpreter: one thread per (replica,
-/// stage) walks its device's instruction stream over real tensors and
+/// and executes it with the ProgramInterpreter: one task per (replica,
+/// device) walks its device's instruction stream over real tensors and
 /// rt::Channels. Front-end and back-end thereby share one program — the
 /// "one program, two backends" contract checked by the parity tests.
 ///
@@ -130,7 +130,7 @@ void save_checkpoint(std::ostream& out, const TrainerCheckpoint& ckpt);
 /// averaging, optional self-conditioning feedback and cross-iteration
 /// frozen-part execution — reproduces the reference full-batch trajectory
 /// exactly, and that it survives stage failures: a throwing stage aborts
-/// the wave cleanly (channels closed, threads joined, exception propagated)
+/// the wave cleanly (channels closed, tasks woken, exception propagated)
 /// and training resumes bit-exactly from the last checkpoint.
 class PipelineTrainer {
  public:

@@ -1,7 +1,5 @@
 #include "service/service.h"
 
-#include <algorithm>
-
 #include "common/error.h"
 #include "common/parallel.h"
 #include "core/instr/serialize.h"
@@ -73,17 +71,8 @@ std::shared_ptr<const CachedPlan> PlanService::plan(const PlanRequest& request,
 std::vector<std::shared_ptr<const CachedPlan>> PlanService::plan_all(
     const std::vector<PlanRequest>& requests, int threads) {
   std::vector<std::shared_ptr<const CachedPlan>> results(requests.size());
-  if (requests.empty()) {
-    return results;
-  }
-  if (threads <= 0) {
-    threads = static_cast<int>(std::min<std::size_t>(
-        requests.size(), static_cast<std::size_t>(default_thread_count())));
-  }
-  ThreadPool pool(threads);
-  pool.parallel_for(requests.size(), [&](std::size_t i) {
-    results[i] = plan(requests[i]);
-  });
+  parallel_for(requests.size(), threads,
+               [&](std::size_t i) { results[i] = plan(requests[i]); });
   return results;
 }
 

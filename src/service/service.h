@@ -21,8 +21,8 @@ struct PlanServiceOptions {
   /// Directory for the versioned on-disk plan store. Empty = in-memory
   /// only (no persistence, cold start on restart).
   std::string store_dir;
-  /// search_threads applied to every cold plan (0 = planner default:
-  /// DPIPE_THREADS, else hardware threads).
+  /// search_threads applied to every cold plan (0 = the executor's
+  /// width).
   int planner_threads = 0;
   /// Adaptive-granularity threshold forwarded to the planner.
   double parallel_work_threshold = 500e3;
@@ -63,8 +63,9 @@ class PlanService {
   [[nodiscard]] std::shared_ptr<const CachedPlan> plan(
       const PlanRequest& request, bool* cache_hit = nullptr);
 
-  /// Plans a batch concurrently on `threads` host threads (0 = one thread
-  /// per request, capped by hardware). Order of results matches the input.
+  /// Plans a batch concurrently on up to `threads` executor threads (0 =
+  /// the executor's width). Each cold plan's own grid search fans out only
+  /// onto workers left idle. Order of results matches the input.
   [[nodiscard]] std::vector<std::shared_ptr<const CachedPlan>> plan_all(
       const std::vector<PlanRequest>& requests, int threads = 0);
 

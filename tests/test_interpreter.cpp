@@ -15,6 +15,7 @@
 #include "engine/engine.h"
 #include "runtime/dp_trainer.h"
 #include "runtime/interpreter.h"
+#include "runtime/kernels.h"
 #include "runtime/pipeline_exec.h"
 
 namespace dpipe::rt {
@@ -219,47 +220,102 @@ TEST(Interpreter, CrossIterationBitExactWithAdam) {
   }
 }
 
-TEST(Interpreter, WaveExecSerialMatchesThreadedBitExact) {
-  // The cooperative serial scheduler is a pure scheduling change: with
-  // self-conditioning (forward waves), data parallelism (allreduce
-  // barriers), Adam, and cross-iteration frozen overlap all active, the
-  // serial and threaded executions produce bit-identical trajectories and
-  // identical per-device execution logs.
-  struct WaveExecGuard {
-    ~WaveExecGuard() { set_wave_exec(WaveExec::kAuto); }
-  } guard;
-  DdpmConfig dc;
-  dc.self_conditioning = true;
-  dc.self_cond_prob = 0.5;
-  const DdpmProblem problem(dc);
+// --- Wave width: executor widths 1/2/4 x below/above kParallelCostThreshold
+
+/// Restores the executor's default width on scope exit.
+struct ExecutorWidthGuard {
+  ~ExecutorWidthGuard() { set_kernel_threads(0); }
+};
+
+/// The width-parity configuration: self-conditioning (forward waves), data
+/// parallelism (allreduce barriers), Adam and cross-iteration frozen
+/// overlap all active. `wide` selects a shape whose cheapest stage op is
+/// above kParallelCostThreshold (hidden 128, 32 rows per micro-batch), so
+/// waves fan out over the executor; otherwise the default DdpmConfig keeps
+/// every wave cooperative on the calling thread.
+struct WidthCase {
+  DdpmConfig ddpm;
   PipelineRtConfig cfg;
-  cfg.num_stages = 3;
-  cfg.num_microbatches = 4;
-  cfg.data_parallel_degree = 2;
-  cfg.global_batch = 16;
-  cfg.cross_iteration = true;
-  cfg.use_adam = true;
-  cfg.lr = 0.01f;
-  cfg.record_execution = true;
 
-  set_wave_exec(WaveExec::kThreads);
-  EXPECT_EQ(wave_exec(), WaveExec::kThreads);
-  PipelineTrainer threaded(problem, cfg);
-  threaded.train(8);
-
-  set_wave_exec(WaveExec::kSerial);
-  EXPECT_EQ(wave_exec(), WaveExec::kSerial);
-  PipelineTrainer serial(problem, cfg);
-  serial.train(8);
-
-  EXPECT_FLOAT_EQ(params_diff(threaded.snapshot_params(),
-                              serial.snapshot_params()),
-                  0.0f);
-  ASSERT_EQ(threaded.losses().size(), serial.losses().size());
-  for (std::size_t i = 0; i < threaded.losses().size(); ++i) {
-    EXPECT_DOUBLE_EQ(threaded.losses()[i], serial.losses()[i]);
+  explicit WidthCase(bool wide) {
+    ddpm.self_conditioning = true;
+    ddpm.self_cond_prob = 0.5;
+    cfg.data_parallel_degree = 2;
+    cfg.cross_iteration = true;
+    cfg.use_adam = true;
+    cfg.lr = 0.01f;
+    cfg.record_execution = true;
+    if (wide) {
+      ddpm.hidden = 128;
+      cfg.num_stages = 2;
+      cfg.num_microbatches = 2;
+      cfg.global_batch = 128;  // 32 rows per micro-batch.
+    } else {
+      cfg.num_stages = 3;
+      cfg.num_microbatches = 4;
+      cfg.global_batch = 16;
+    }
   }
-  EXPECT_EQ(threaded.execution_log(), serial.execution_log());
+};
+
+void expect_bit_exact_across_widths(bool wide, int iterations) {
+  ExecutorWidthGuard guard;
+  const WidthCase c(wide);
+  const DdpmProblem problem(c.ddpm);
+  std::vector<std::vector<Tensor>> params;
+  std::vector<std::vector<double>> losses;
+  std::vector<ExecutionLog> logs;
+  const std::vector<int> widths = {1, 2, 4};
+  for (const int width : widths) {
+    set_kernel_threads(width);
+    EXPECT_EQ(wave_exec(),
+              width == 1 ? WaveExec::kSerial : WaveExec::kThreads);
+    PipelineTrainer trainer(problem, c.cfg);
+    trainer.train(iterations);
+    params.push_back(trainer.snapshot_params());
+    losses.push_back(trainer.losses());
+    logs.push_back(trainer.execution_log());
+  }
+  for (std::size_t w = 1; w < widths.size(); ++w) {
+    EXPECT_FLOAT_EQ(params_diff(params[0], params[w]), 0.0f)
+        << "width " << widths[w];
+    ASSERT_EQ(losses[0].size(), losses[w].size());
+    for (std::size_t i = 0; i < losses[0].size(); ++i) {
+      EXPECT_DOUBLE_EQ(losses[0][i], losses[w][i]) << "width " << widths[w];
+    }
+    EXPECT_EQ(logs[0], logs[w]) << "width " << widths[w];
+  }
+}
+
+TEST(WaveWidth, BelowThresholdBitExactAcrossWidths) {
+  expect_bit_exact_across_widths(/*wide=*/false, 8);
+}
+
+TEST(WaveWidth, AboveThresholdBitExactAcrossWidths) {
+  expect_bit_exact_across_widths(/*wide=*/true, 4);
+}
+
+TEST(WaveWidth, StageFailureAtWidthFourReleasesParkedTasks) {
+  // Waves of the wide shape fan out over four executor threads. A stage
+  // that throws mid-wave must abort it: every parked peer is woken, sees
+  // its channels closed or barrier aborted and finishes, and the failure
+  // escapes train() instead of wedging the executor. The executor stays
+  // usable afterwards.
+  ExecutorWidthGuard guard;
+  set_kernel_threads(4);
+  WidthCase c(/*wide=*/true);
+  c.cfg.fault.iteration = 1;
+  c.cfg.fault.stage = 1;
+  c.cfg.fault.micro = 1;
+  c.cfg.fault.replica = 1;
+  const DdpmProblem problem(c.ddpm);
+  PipelineTrainer trainer(problem, c.cfg);
+  EXPECT_THROW(trainer.train(3), StageFailure);
+  EXPECT_TRUE(trainer.failed());
+  c.cfg.fault = RtFaultInjection{};
+  PipelineTrainer healthy(problem, c.cfg);
+  healthy.train(2);
+  EXPECT_EQ(healthy.losses().size(), 2u);
 }
 
 TEST(Interpreter, RejectsCorruptedPrograms) {

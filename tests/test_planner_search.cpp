@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdlib>
 #include <numeric>
+#include <string>
 #include <vector>
 
 #include "common/parallel.h"
@@ -85,12 +86,17 @@ TEST(ParallelFor, PropagatesFirstExceptionAndStaysUsable) {
 }
 
 TEST(ParallelFor, DefaultThreadCountReadsEnvironment) {
+  const char* previous = std::getenv("DPIPE_THREADS");
+  const std::string saved = previous != nullptr ? previous : "";
   ::setenv("DPIPE_THREADS", "3", 1);
   EXPECT_EQ(default_thread_count(), 3);
   ::setenv("DPIPE_THREADS", "not-a-number", 1);
-  EXPECT_GE(default_thread_count(), 1);  // Falls back to hardware.
+  EXPECT_GE(default_thread_count(), 1);  // Falls back to the CPU mask.
   ::unsetenv("DPIPE_THREADS");
   EXPECT_GE(default_thread_count(), 1);
+  if (previous != nullptr) {
+    ::setenv("DPIPE_THREADS", saved.c_str(), 1);
+  }
 }
 
 // --- ProfileDb interpolation ------------------------------------------------
@@ -331,6 +337,13 @@ TEST(StageCostCache, BidirectionalWithCacheIsBitIdentical) {
 
 // --- Planner search parity --------------------------------------------------
 
+/// search_threads caps the fan-out at the executor's width; the tests that
+/// assert a thread count pin the width to 4 so they hold on any host.
+struct ExecutorWidth4 {
+  ExecutorWidth4() { set_executor_width(4); }
+  ~ExecutorWidth4() { set_executor_width(0); }
+};
+
 Plan plan_with(const ModelDesc& model, int threads, bool cache, bool pruning,
                double global_batch = 128.0,
                double parallel_work_threshold = 0.0) {
@@ -356,6 +369,7 @@ void expect_plans_identical(const Plan& a, const Plan& b) {
 }
 
 TEST(PlannerSearch, BitIdenticalAcrossThreadCounts) {
+  const ExecutorWidth4 width;
   const ModelDesc model = make_stable_diffusion_v21();
   const Plan seq = plan_with(model, 1, true, false);
   const Plan two = plan_with(model, 2, true, false);
@@ -423,6 +437,7 @@ TEST(PlannerSearch, PruningKeepsWinnerAndProgramExact) {
 }
 
 TEST(PlannerSearch, AdaptiveGranularityRunsSmallGridsSequentially) {
+  const ExecutorWidth4 width;
   // SD v2.1's grid is small enough that thread fan-out costs more than it
   // saves (the BENCH_planner small-grid regression); the default threshold
   // keeps it sequential even when threads were requested. The plan itself
@@ -437,6 +452,7 @@ TEST(PlannerSearch, AdaptiveGranularityRunsSmallGridsSequentially) {
 }
 
 TEST(PlannerSearch, AdaptiveGranularityKeepsLargeGridsParallel) {
+  const ExecutorWidth4 width;
   // CDM's bidirectional grid is an order of magnitude more work per combo;
   // the same default threshold leaves it parallel.
   const ModelDesc model = make_cdm_lsun();

@@ -352,16 +352,9 @@ TEST(Channel, CloseWakesBlockedConsumer) {
   EXPECT_EQ(got, std::nullopt);
 }
 
-TEST(Channel, PopForTimesOutWithoutProducer) {
-  Channel<int> ch;
-  EXPECT_EQ(ch.pop_for(5.0), std::nullopt);
-  EXPECT_TRUE(ch.push(7));
-  EXPECT_EQ(ch.pop_for(5.0), 7);
-}
-
 TEST(PipelineTrainer, StageFailurePropagatesWithoutHanging) {
-  // A stage thread that dies mid-wave must abort the whole wave cleanly:
-  // peers drain out of their blocking pops, every thread joins, and the
+  // A stage task that dies mid-wave must abort the whole wave cleanly:
+  // parked peers are woken and find their channels closed, and the
   // failure escapes train() instead of deadlocking the trainer.
   const DdpmProblem problem(DdpmConfig{});
   PipelineRtConfig cfg;

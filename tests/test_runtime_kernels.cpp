@@ -19,7 +19,7 @@
 namespace dpipe::rt {
 namespace {
 
-/// Restores the process-wide kernel mode and pool width on scope exit so a
+/// Restores the process-wide kernel mode and executor width on scope exit so a
 /// test cannot leak its overrides into suites that assume the defaults.
 struct KernelStateGuard {
   KernelMode mode = kernel_mode();
@@ -40,7 +40,7 @@ void expect_bit_equal(const Tensor& a, const Tensor& b) {
 }
 
 /// Runs all three transpose variants at (m, k, n) under every kernel mode
-/// and pool width and requires bit-identical results. Covers the contract
+/// and executor width and requires bit-identical results. Covers the contract
 /// that blocking and parallel fan-out reorder memory traffic only.
 void check_parity(int m, int k, int n) {
   SCOPED_TRACE(::testing::Message()
@@ -141,13 +141,13 @@ TEST(Kernels, RejectsBadOutputShapeAndAliasing) {
   EXPECT_THROW(matmul_into(alias, alias, b), std::invalid_argument);
 }
 
-// --- Concurrent kernel entry (the try-lock fan-out path) --------------------
+// --- Concurrent kernel entry (shared executor fan-out) -----------------------
 
 TEST(Kernels, ConcurrentCallersBitExactUnderContention) {
-  // Stage threads hammer kBlockedParallel simultaneously: one caller owns
-  // the worker pool, losers either inline (pool genuinely busy) or wait
-  // their turn (transient contention). Results must be bit-identical to
-  // the single-threaded reference either way. Runs under TSan in tier-1.
+  // Several threads call kBlockedParallel simultaneously: each fan-out
+  // recruits whichever executor workers are idle at the call, or runs
+  // inline when none is. Results must be bit-identical to the
+  // single-threaded reference either way. Runs under TSan in tier-1.
   KernelStateGuard guard;
   set_kernel_threads(4);
   constexpr int kDim = 96;  // 2*96^3 FLOPs: above the parallel threshold.
@@ -180,9 +180,9 @@ TEST(Kernels, ConcurrentCallersBitExactUnderContention) {
 }
 
 TEST(Kernels, NestedInsideParallelForRunsInlineWithoutDeadlock) {
-  // A kernel called from inside any ThreadPool batch must take the inline
-  // path (in_parallel_region) — blocking on the kernel pool there could
-  // deadlock the pool on itself.
+  // A kernel called from inside a fork-join that occupies every executor
+  // worker finds none idle and runs inline: it must neither wait for a
+  // busy worker (deadlock) nor change bits.
   KernelStateGuard guard;
   set_kernel_threads(4);
   Rng rng(43);
@@ -190,10 +190,9 @@ TEST(Kernels, NestedInsideParallelForRunsInlineWithoutDeadlock) {
   const Tensor b = rng.randn({96, 96});
   Tensor ref({96, 96});
   matmul_into(ref, a, b, KernelMode::kNaive);
-  ThreadPool outer(3);
+  ThreadPool outer(4);
   std::vector<int> ok(6, 0);
   outer.parallel_for(ok.size(), [&](std::size_t i) {
-    EXPECT_TRUE(in_parallel_region());
     Tensor out({96, 96});
     matmul_into(out, a, b, KernelMode::kBlockedParallel);
     ok[i] = std::memcmp(ref.data(), out.data(),
@@ -331,7 +330,7 @@ float params_diff(const std::vector<Tensor>& a,
 }
 
 /// Full-feature pipeline run (self-conditioning, cross-iteration frozen
-/// part, data parallelism) under an explicit kernel mode and pool width.
+/// part, data parallelism) under an explicit kernel mode and executor width.
 TrajectoryRun run_pipeline(KernelMode mode, int threads, bool use_adam) {
   set_kernel_mode(mode);
   set_kernel_threads(threads);

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Tier-1 verification: the standard build + full test suite, then a
 # ThreadSanitizer build running the concurrency-sensitive runtime and fault
-# tests (thread-per-stage program interpreter, channel shutdown, checkpoint
-# recovery, cross-backend parity) plus the parallel planner-search
+# tests (program interpreter waves on the shared executor, channel
+# shutdown, checkpoint recovery, cross-backend parity) plus the executor's
+# fork-join and nested/concurrent planner tests, the parallel planner-search
 # determinism tests, the kernel/pool substrate tests (row-block fan-out,
 # concurrent TensorPool), and the plan-service suites (single-flight cache,
 # stage-cost leases, concurrent request determinism), ending with a
@@ -27,20 +28,20 @@ DPIPE_SIMD=scalar ./build/tests/dpipe_tests \
 echo "== tier-1: ThreadSanitizer build (runtime + fault + service tests) =="
 cmake -B build-tsan -S . -DDPIPE_SANITIZE=thread
 cmake --build build-tsan -j"$(nproc)" --target dpipe_tests
-# DPIPE_WAVE_EXEC=threads: on single-CPU hosts the interpreter would
-# auto-select the cooperative serial wave scheduler, which has no thread
-# interleavings for TSan to check — force the threaded path here.
-TSAN_OPTIONS="halt_on_error=1" DPIPE_WAVE_EXEC=threads \
+# DPIPE_THREADS=4: the executor gets three workers even on hosts with fewer
+# CPUs, so fork-joins recruit real threads and the above-threshold
+# WaveWidth.* shapes run their waves on four threads for TSan to check.
+TSAN_OPTIONS="halt_on_error=1" DPIPE_THREADS=4 \
   ./build-tsan/tests/dpipe_tests \
-  --gtest_filter='Channel.*:PipelineTrainer.*:Equivalence.*:Fault.*:ParallelFor.*:PlannerSearch.*:Kernels.*:TensorPool.*:Trajectory.*:RngSeed.*:SimdDispatch.*:SimdParity.*:FastMode.*:Interpreter.*:Parity.*:Interleaved.*:Elastic.*:Reshard.*:CheckpointIo.*:PlanFingerprint.*:StageCostStore.*:PlanCache.*:PlanStore.*:PlanService.*:PlanProtocol.*:Eltwise*'
+  --gtest_filter='Channel.*:PipelineTrainer.*:Equivalence.*:Fault.*:ParallelFor.*:Executor.*:WaveWidth.*:PlannerSearch.*:Kernels.*:TensorPool.*:Trajectory.*:RngSeed.*:SimdDispatch.*:SimdParity.*:FastMode.*:Interpreter.*:Parity.*:Interleaved.*:Elastic.*:Reshard.*:CheckpointIo.*:PlanFingerprint.*:StageCostStore.*:PlanCache.*:PlanStore.*:PlanService.*:PlanProtocol.*:Eltwise*'
 
-echo "== tier-1: interleaved schedule smoke (both wave-executor modes) =="
+echo "== tier-1: interleaved schedule smoke (executor widths 1 and 4) =="
 # The interleaved family exercises multi-virtual-stage device timelines on
-# the functional runtime; both wave executors must replay it with clean
-# cross-backend op-order parity.
-DPIPE_WAVE_EXEC=threads ./build/tools/dpipe_run --schedule=interleaved \
+# the functional runtime; it must replay with clean cross-backend op-order
+# parity whatever the executor's width.
+DPIPE_THREADS=1 ./build/tools/dpipe_run --schedule=interleaved \
   --vstages=2 --backend=real 2 4 8 1 2 | grep -q "parity: OK"
-DPIPE_WAVE_EXEC=serial ./build/tools/dpipe_run --schedule=interleaved \
+DPIPE_THREADS=4 ./build/tools/dpipe_run --schedule=interleaved \
   --vstages=2 --backend=real 2 4 8 1 2 | grep -q "parity: OK"
 ./build/tools/dpipe_run --schedule=interleaved --vstages=2 --backend=sim \
   2 4 8 1 2 > /dev/null
