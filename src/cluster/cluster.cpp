@@ -1,7 +1,6 @@
 #include "cluster/cluster.h"
 
 #include <istream>
-#include <ostream>
 
 namespace dpipe {
 
@@ -27,9 +26,7 @@ void validate(const ClusterSpec& cluster) {
           "link latency must be non-negative");
 }
 
-void write_canonical(std::ostream& out, const ClusterSpec& cluster) {
-  const auto flags = out.flags();
-  const auto precision = out.precision(17);
+void write_canonical(CanonicalWriter& out, const ClusterSpec& cluster) {
   out << "dpipe-cluster v1\n";
   out << "shape " << cluster.num_machines << ' '
       << cluster.devices_per_machine << '\n';
@@ -40,8 +37,6 @@ void write_canonical(std::ostream& out, const ClusterSpec& cluster) {
       << cluster.intra.latency_ms << '\n';
   out << "inter " << cluster.inter.bandwidth_gbps << ' '
       << cluster.inter.latency_ms << '\n';
-  out.precision(precision);
-  out.flags(flags);
 }
 
 ClusterSpec read_canonical_cluster(std::istream& in) {
@@ -50,35 +45,20 @@ ClusterSpec read_canonical_cluster(std::istream& in) {
   }
   require(line == "dpipe-cluster v1", "not a dpipe-cluster v1 block");
   ClusterSpec cluster;
-  std::string keyword;
-  require(static_cast<bool>(in >> keyword) && keyword == "shape",
-          "expected shape line");
-  require(static_cast<bool>(in >> cluster.num_machines >>
-                            cluster.devices_per_machine),
-          "malformed shape line");
-  require(static_cast<bool>(in >> keyword) && keyword == "device",
-          "expected device line");
-  require(static_cast<bool>(in >> cluster.device.peak_tflops >>
-                            cluster.device.memory_gb >>
-                            cluster.device.mem_bw_gbps),
-          "malformed device line");
-  std::string name_token;
-  require(static_cast<bool>(in >> name_token) && name_token.size() >= 5 &&
-              name_token.compare(0, 5, "name=") == 0,
-          "expected device name= field");
-  std::string rest;
-  std::getline(in, rest);
-  cluster.device.name = name_token.substr(5) + rest;
-  require(static_cast<bool>(in >> keyword) && keyword == "intra",
-          "expected intra line");
-  require(static_cast<bool>(in >> cluster.intra.bandwidth_gbps >>
-                            cluster.intra.latency_ms),
-          "malformed intra line");
-  require(static_cast<bool>(in >> keyword) && keyword == "inter",
-          "expected inter line");
-  require(static_cast<bool>(in >> cluster.inter.bandwidth_gbps >>
-                            cluster.inter.latency_ms),
-          "malformed inter line");
+  expect_keyword(in, "shape");
+  cluster.num_machines = read_integer<int>(in, "num_machines");
+  cluster.devices_per_machine = read_integer<int>(in, "devices_per_machine");
+  expect_keyword(in, "device");
+  cluster.device.peak_tflops = read_double(in, "peak_tflops");
+  cluster.device.memory_gb = read_double(in, "memory_gb");
+  cluster.device.mem_bw_gbps = read_double(in, "mem_bw_gbps");
+  cluster.device.name = read_name_field(in, "name=");
+  expect_keyword(in, "intra");
+  cluster.intra.bandwidth_gbps = read_double(in, "intra bandwidth");
+  cluster.intra.latency_ms = read_double(in, "intra latency");
+  expect_keyword(in, "inter");
+  cluster.inter.bandwidth_gbps = read_double(in, "inter bandwidth");
+  cluster.inter.latency_ms = read_double(in, "inter latency");
   std::getline(in, line);  // Consume the trailing newline.
   validate(cluster);
   return cluster;

@@ -4,6 +4,7 @@
 #include <string>
 #include <vector>
 
+#include "common/canonical.h"
 #include "common/error.h"
 
 namespace dpipe {
@@ -55,14 +56,15 @@ struct ClusterSpec {
 /// Validates internal consistency; throws std::invalid_argument on bad specs.
 void validate(const ClusterSpec& cluster);
 
-/// Canonical text form of the cluster topology: every field, fixed order,
-/// doubles at precision 17. Equal specs produce equal bytes — the plan
-/// service fingerprints this to key plan-cache entries and to invalidate
-/// persisted plans when the cluster changes.
-void write_canonical(std::ostream& out, const ClusterSpec& cluster);
+/// Appends the canonical text form of the cluster topology: every field,
+/// fixed order, doubles as "%.17g". Equal specs produce equal bytes — the
+/// plan service fingerprints this to key plan-cache entries and to
+/// invalidate persisted plans when the cluster changes.
+void write_canonical(CanonicalWriter& out, const ClusterSpec& cluster);
 
 /// Parses write_canonical output (byte-identity on re-serialization).
-/// Throws std::invalid_argument on malformed input.
+/// Throws std::invalid_argument on malformed input, including malformed
+/// numbers.
 [[nodiscard]] ClusterSpec read_canonical_cluster(std::istream& in);
 
 }  // namespace dpipe

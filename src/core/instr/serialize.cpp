@@ -2,8 +2,10 @@
 
 #include <array>
 #include <istream>
-#include <ostream>
 #include <sstream>
+
+#include "common/canonical.h"
+#include "common/error.h"
 
 namespace dpipe {
 
@@ -25,73 +27,36 @@ InstrKind kind_from_string(const std::string& text) {
   throw std::invalid_argument("unknown instruction kind: " + text);
 }
 
-void write_instruction(std::ostream& out, const Instruction& i) {
+void write_instruction(CanonicalWriter& out, const Instruction& i) {
   out << to_string(i.kind) << " b=" << i.backbone << " s=" << i.stage
       << " m=" << i.micro << " c=" << i.component << " l=" << i.layer_begin
       << ':' << i.layer_end << " n=" << i.samples << " p=" << i.peer
       << " sz=" << i.size_mb << '\n';
 }
 
-double parse_field(const std::string& token, const std::string& key) {
-  require(token.size() > key.size() &&
-              token.compare(0, key.size(), key) == 0,
-          "malformed instruction field, expected " + key);
-  return std::stod(token.substr(key.size()));
-}
-
 Instruction parse_instruction(const std::string& line) {
   std::istringstream tokens(line);
-  std::string kind_text;
-  tokens >> kind_text;
   Instruction i;
-  i.kind = kind_from_string(kind_text);
-  std::string token;
-  tokens >> token;
-  i.backbone = static_cast<int>(parse_field(token, "b="));
-  tokens >> token;
-  i.stage = static_cast<int>(parse_field(token, "s="));
-  tokens >> token;
-  i.micro = static_cast<int>(parse_field(token, "m="));
-  tokens >> token;
-  i.component = static_cast<int>(parse_field(token, "c="));
-  tokens >> token;
-  require(token.size() > 2 && token[0] == 'l' && token[1] == '=',
-          "malformed layer range");
-  const std::size_t colon = token.find(':');
-  require(colon != std::string::npos, "malformed layer range");
-  i.layer_begin = std::stoi(token.substr(2, colon - 2));
-  i.layer_end = std::stoi(token.substr(colon + 1));
-  tokens >> token;
-  i.samples = parse_field(token, "n=");
-  tokens >> token;
-  i.peer = static_cast<int>(parse_field(token, "p="));
-  tokens >> token;
-  i.size_mb = parse_field(token, "sz=");
-  require(static_cast<bool>(tokens) || tokens.eof(),
-          "truncated instruction line");
+  i.kind = kind_from_string(read_token(tokens, "instruction kind"));
+  i.backbone = read_integer_field<int>(tokens, "b=");
+  i.stage = read_integer_field<int>(tokens, "s=");
+  i.micro = read_integer_field<int>(tokens, "m=");
+  i.component = read_integer_field<int>(tokens, "c=");
+  const std::string range_token = read_token(tokens, "l=");
+  const std::string_view range = field_value(range_token, "l=");
+  const std::size_t colon = range.find(':');
+  require(colon != std::string_view::npos, "malformed layer range");
+  i.layer_begin = parse_integer<int>(range.substr(0, colon), "l=");
+  i.layer_end = parse_integer<int>(range.substr(colon + 1), "l=");
+  i.samples = read_double_field(tokens, "n=");
+  i.peer = read_integer_field<int>(tokens, "p=");
+  i.size_mb = read_double_field(tokens, "sz=");
+  std::string extra;
+  require(!(tokens >> extra), "trailing bytes on instruction line: " + line);
   return i;
 }
 
 }  // namespace
-
-void save_program(const InstructionProgram& program, std::ostream& out) {
-  out.precision(17);  // Lossless double round-trip.
-  out << "dpipe-program v1\n";
-  out << "group_size " << program.group_size << '\n';
-  out << "num_backbones " << program.num_backbones << '\n';
-  for (int dev = 0; dev < program.group_size; ++dev) {
-    out << "device " << dev << " preamble "
-        << program.preamble[dev].size() << '\n';
-    for (const Instruction& i : program.preamble[dev]) {
-      write_instruction(out, i);
-    }
-    out << "device " << dev << " steady " << program.per_device[dev].size()
-        << '\n';
-    for (const Instruction& i : program.per_device[dev]) {
-      write_instruction(out, i);
-    }
-  }
-}
 
 InstructionProgram load_program(std::istream& in) {
   std::string line;
@@ -128,7 +93,6 @@ InstructionProgram load_program(std::istream& in) {
     std::vector<Instruction>& target =
         phase == "preamble" ? program.preamble[dev] : program.per_device[dev];
     require(target.empty(), "duplicate device section: " + line);
-    target.reserve(count);
     for (std::size_t n = 0; n < count; ++n) {
       require(static_cast<bool>(std::getline(in, line)),
               "truncated program: missing instruction");
@@ -138,10 +102,24 @@ InstructionProgram load_program(std::istream& in) {
   return program;
 }
 
-std::string program_to_string(const InstructionProgram& p) {
-  std::ostringstream out;
-  save_program(p, out);
-  return out.str();
+std::string program_to_string(const InstructionProgram& program) {
+  CanonicalWriter out;
+  out << "dpipe-program v1\n";
+  out << "group_size " << program.group_size << '\n';
+  out << "num_backbones " << program.num_backbones << '\n';
+  for (int dev = 0; dev < program.group_size; ++dev) {
+    out << "device " << dev << " preamble "
+        << program.preamble[dev].size() << '\n';
+    for (const Instruction& i : program.preamble[dev]) {
+      write_instruction(out, i);
+    }
+    out << "device " << dev << " steady " << program.per_device[dev].size()
+        << '\n';
+    for (const Instruction& i : program.per_device[dev]) {
+      write_instruction(out, i);
+    }
+  }
+  return out.take();
 }
 
 InstructionProgram program_from_string(const std::string& text) {

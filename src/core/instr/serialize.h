@@ -7,27 +7,26 @@
 
 namespace dpipe {
 
-/// Serializes an instruction program to a line-based text format — the
-/// hand-off artifact between DiffusionPipe's front-end (planner) and
-/// back-end (execution engine), mirroring the paper's step 6. The format is
-/// versioned and self-describing:
+/// The line-based text format of an instruction program — the hand-off
+/// artifact between DiffusionPipe's front-end (planner) and back-end
+/// (execution engine), mirroring the paper's step 6. The format is
+/// versioned and self-describing; doubles are written as "%.17g"
+/// (CanonicalWriter), so the text round-trips losslessly:
 ///
 ///   dpipe-program v1
 ///   group_size <D>
 ///   num_backbones <n>
-///   device <d> steady|preamble
+///   device <d> preamble|steady <count>
 ///   <kind> b=<backbone> s=<stage> m=<micro> c=<component> l=<lo>:<hi>
 ///          n=<samples> p=<peer> sz=<size_mb>
 ///   ...
-void save_program(const InstructionProgram& program, std::ostream& out);
+[[nodiscard]] std::string program_to_string(const InstructionProgram& program);
 
-/// Parses a program previously written by save_program. Throws
+/// Parses a program previously written by program_to_string. Throws
 /// std::invalid_argument on malformed input (wrong magic, unknown
-/// instruction kind, truncated fields, inconsistent device count).
+/// instruction kind, truncated or malformed numeric fields, stray bytes,
+/// inconsistent device count).
 [[nodiscard]] InstructionProgram load_program(std::istream& in);
-
-/// Convenience string round-trip helpers.
-[[nodiscard]] std::string program_to_string(const InstructionProgram& p);
 [[nodiscard]] InstructionProgram program_from_string(const std::string& text);
 
 }  // namespace dpipe

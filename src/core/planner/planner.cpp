@@ -4,7 +4,6 @@
 #include <chrono>
 #include <cmath>
 #include <limits>
-#include <sstream>
 
 #include "common/hash.h"
 #include "common/parallel.h"
@@ -88,11 +87,11 @@ void Planner::apply_default_candidates(PlannerOptions& options, int world) {
 }
 
 std::string Planner::cost_context_fingerprint() const {
-  std::ostringstream canonical;
+  CanonicalWriter canonical;
   write_canonical(canonical, model_);
   write_canonical(canonical, cluster_);
   write_canonical(canonical, options_.profiler);
-  return fingerprint_bytes(canonical.str()).hex();
+  return fingerprint_bytes(canonical.take()).hex();
 }
 
 bool Planner::combo_shape_valid(int S, int M, int D, int V) const {

@@ -4,8 +4,6 @@
 #include <array>
 #include <istream>
 #include <numeric>
-#include <ostream>
-#include <sstream>
 
 namespace dpipe {
 
@@ -156,39 +154,7 @@ void validate(const ModelDesc& model) {
   (void)model.non_trainable_topo_order();
 }
 
-namespace {
-
-/// Reads the remainder of the current line after a `key=` token that holds
-/// a free-form name (names are written last on their line for this reason).
-std::string read_name_field(std::istream& in, const std::string& key) {
-  std::string token;
-  require(static_cast<bool>(in >> token) && token.size() >= key.size() &&
-              token.compare(0, key.size(), key) == 0,
-          "expected " + key + " field");
-  std::string rest;
-  std::getline(in, rest);
-  return token.substr(key.size()) + rest;
-}
-
-double read_field(std::istream& in, const std::string& key) {
-  std::string token;
-  require(static_cast<bool>(in >> token) && token.size() > key.size() &&
-              token.compare(0, key.size(), key) == 0,
-          "expected " + key + " field");
-  return std::stod(token.substr(key.size()));
-}
-
-void expect_keyword(std::istream& in, const std::string& keyword) {
-  std::string token;
-  require(static_cast<bool>(in >> token) && token == keyword,
-          "expected keyword " + keyword);
-}
-
-}  // namespace
-
-void write_canonical(std::ostream& out, const ModelDesc& model) {
-  const auto flags = out.flags();
-  const auto precision = out.precision(17);
+void write_canonical(CanonicalWriter& out, const ModelDesc& model) {
   out << "dpipe-model v1\n";
   out << "name=" << model.name << '\n';
   out << "self_conditioning " << (model.self_conditioning ? 1 : 0) << ' '
@@ -216,8 +182,6 @@ void write_canonical(std::ostream& out, const ModelDesc& model) {
     out << ' ' << id;
   }
   out << '\n';
-  out.precision(precision);
-  out.flags(flags);
 }
 
 ModelDesc read_canonical_model(std::istream& in) {
@@ -229,60 +193,48 @@ ModelDesc read_canonical_model(std::istream& in) {
   ModelDesc model;
   model.name = read_name_field(in, "name=");
   // The name line's getline consumed its newline; subsequent reads are
-  // token-based until the next name field.
+  // token-based until the next name field. Counts are not trusted for
+  // up-front allocation: a hostile count fails at the first missing token.
   expect_keyword(in, "self_conditioning");
-  int self_cond = 0;
-  require(static_cast<bool>(in >> self_cond >> model.self_cond_prob),
-          "malformed self_conditioning line");
-  model.self_conditioning = self_cond != 0;
+  model.self_conditioning = read_integer<int>(in, "self_conditioning") != 0;
+  model.self_cond_prob = read_double(in, "self_cond_prob");
   expect_keyword(in, "image_size");
-  require(static_cast<bool>(in >> model.image_size), "malformed image_size");
+  model.image_size = read_integer<int>(in, "image_size");
   expect_keyword(in, "components");
-  std::size_t num_components = 0;
-  require(static_cast<bool>(in >> num_components), "malformed components");
-  model.components.reserve(num_components);
+  const auto num_components = read_integer<std::size_t>(in, "components");
   for (std::size_t ci = 0; ci < num_components; ++ci) {
     expect_keyword(in, "component");
     ComponentDesc c;
-    c.trainable = read_field(in, "trainable=") != 0.0;
-    const auto num_deps = static_cast<std::size_t>(read_field(in, "deps="));
-    c.deps.resize(num_deps);
+    c.trainable = read_integer_field<int>(in, "trainable=") != 0;
+    const auto num_deps = read_integer_field<std::size_t>(in, "deps=");
     for (std::size_t d = 0; d < num_deps; ++d) {
-      require(static_cast<bool>(in >> c.deps[d]), "truncated deps list");
+      c.deps.push_back(read_integer<int>(in, "deps"));
     }
-    const auto num_layers =
-        static_cast<std::size_t>(read_field(in, "layers="));
+    const auto num_layers = read_integer_field<std::size_t>(in, "layers=");
     c.name = read_name_field(in, "name=");
-    c.layers.reserve(num_layers);
     for (std::size_t li = 0; li < num_layers; ++li) {
       expect_keyword(in, "layer");
       LayerDesc l;
-      std::string kind;
-      require(static_cast<bool>(in >> kind) && kind.size() > 5 &&
-                  kind.compare(0, 5, "kind=") == 0,
-              "expected kind= field");
-      l.kind = layer_kind_from_string(kind.substr(5));
-      l.fwd_gflop = read_field(in, "fwd=");
-      l.bwd_flop_factor = read_field(in, "bwdf=");
-      l.param_mb = read_field(in, "param=");
-      l.grad_mb = read_field(in, "grad=");
-      l.output_mb = read_field(in, "out=");
-      l.act_mb = read_field(in, "act=");
-      l.overhead_fwd_ms = read_field(in, "ovf=");
-      l.overhead_bwd_ms = read_field(in, "ovb=");
-      l.efficiency = read_field(in, "eff=");
+      l.kind = layer_kind_from_string(
+          std::string(field_value(read_token(in, "kind="), "kind=")));
+      l.fwd_gflop = read_double_field(in, "fwd=");
+      l.bwd_flop_factor = read_double_field(in, "bwdf=");
+      l.param_mb = read_double_field(in, "param=");
+      l.grad_mb = read_double_field(in, "grad=");
+      l.output_mb = read_double_field(in, "out=");
+      l.act_mb = read_double_field(in, "act=");
+      l.overhead_fwd_ms = read_double_field(in, "ovf=");
+      l.overhead_bwd_ms = read_double_field(in, "ovb=");
+      l.efficiency = read_double_field(in, "eff=");
       l.name = read_name_field(in, "name=");
       c.layers.push_back(std::move(l));
     }
     model.components.push_back(std::move(c));
   }
   expect_keyword(in, "backbones");
-  std::size_t num_backbones = 0;
-  require(static_cast<bool>(in >> num_backbones), "malformed backbones");
-  model.backbone_ids.resize(num_backbones);
+  const auto num_backbones = read_integer<std::size_t>(in, "backbones");
   for (std::size_t b = 0; b < num_backbones; ++b) {
-    require(static_cast<bool>(in >> model.backbone_ids[b]),
-            "truncated backbone list");
+    model.backbone_ids.push_back(read_integer<int>(in, "backbones"));
   }
   std::getline(in, line);  // Consume the trailing newline.
   return model;

@@ -4,6 +4,7 @@
 #include <string>
 #include <vector>
 
+#include "common/canonical.h"
 #include "common/error.h"
 
 namespace dpipe {
@@ -96,15 +97,16 @@ struct ModelDesc {
 /// deps form a DAG, layer sizes non-negative). Throws on violation.
 void validate(const ModelDesc& model);
 
-/// Writes the model in its canonical text form: every field, in a fixed
-/// order, doubles at precision 17 (lossless round-trip). Equal models
-/// produce equal bytes, so the text doubles as the fingerprint input for
-/// the plan service ("model profile bytes") and as the wire encoding of a
-/// plan request's model.
-void write_canonical(std::ostream& out, const ModelDesc& model);
+/// Appends the model in its canonical text form: every field, in a fixed
+/// order, doubles as "%.17g" (lossless round-trip). Equal models produce
+/// equal bytes, so the text doubles as the fingerprint input for the plan
+/// service ("model profile bytes") and as the wire encoding of a plan
+/// request's model.
+void write_canonical(CanonicalWriter& out, const ModelDesc& model);
 
 /// Parses write_canonical output. Throws std::invalid_argument on
-/// malformed input. read_canonical_model then write_canonical is
+/// malformed input, including a numeric field that is empty, out of range,
+/// or followed by stray bytes. read_canonical_model then write_canonical is
 /// byte-identity.
 [[nodiscard]] ModelDesc read_canonical_model(std::istream& in);
 

@@ -1,7 +1,6 @@
 #include "profiler/profiler.h"
 
 #include <istream>
-#include <ostream>
 
 namespace dpipe {
 
@@ -41,9 +40,7 @@ ProfileReport Profiler::profile(const ModelDesc& model,
   return report;
 }
 
-void write_canonical(std::ostream& out, const ProfilerOptions& options) {
-  const auto flags = out.flags();
-  const auto precision = out.precision(17);
+void write_canonical(CanonicalWriter& out, const ProfilerOptions& options) {
   out << "dpipe-profiler v1\n";
   out << "batch_grid " << options.batch_grid.size();
   for (const double batch : options.batch_grid) {
@@ -54,8 +51,6 @@ void write_canonical(std::ostream& out, const ProfilerOptions& options) {
       << '\n';
   out << "repeats " << options.repeats << ' ' << options.warmup_repeats
       << '\n';
-  out.precision(precision);
-  out.flags(flags);
 }
 
 ProfilerOptions read_canonical_profiler_options(std::istream& in) {
@@ -64,26 +59,18 @@ ProfilerOptions read_canonical_profiler_options(std::istream& in) {
   }
   require(line == "dpipe-profiler v1", "not a dpipe-profiler v1 block");
   ProfilerOptions options;
-  std::string keyword;
-  require(static_cast<bool>(in >> keyword) && keyword == "batch_grid",
-          "expected batch_grid line");
-  std::size_t grid_size = 0;
-  require(static_cast<bool>(in >> grid_size), "malformed batch_grid size");
-  options.batch_grid.resize(grid_size);
+  expect_keyword(in, "batch_grid");
+  const auto grid_size = read_integer<std::size_t>(in, "batch_grid");
+  options.batch_grid.clear();
   for (std::size_t i = 0; i < grid_size; ++i) {
-    require(static_cast<bool>(in >> options.batch_grid[i]),
-            "truncated batch_grid");
+    options.batch_grid.push_back(read_double(in, "batch_grid"));
   }
-  require(static_cast<bool>(in >> keyword) && keyword == "noise",
-          "expected noise line");
-  require(static_cast<bool>(in >> options.noise_seed >>
-                            options.noise_amplitude),
-          "malformed noise line");
-  require(static_cast<bool>(in >> keyword) && keyword == "repeats",
-          "expected repeats line");
-  require(static_cast<bool>(in >> options.repeats >>
-                            options.warmup_repeats),
-          "malformed repeats line");
+  expect_keyword(in, "noise");
+  options.noise_seed = read_integer<std::uint64_t>(in, "noise_seed");
+  options.noise_amplitude = read_double(in, "noise_amplitude");
+  expect_keyword(in, "repeats");
+  options.repeats = read_integer<int>(in, "repeats");
+  options.warmup_repeats = read_integer<int>(in, "warmup_repeats");
   std::getline(in, line);  // Consume the trailing newline.
   return options;
 }

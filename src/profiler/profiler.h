@@ -16,13 +16,14 @@ struct ProfilerOptions {
   int warmup_repeats = 3;  ///< Discarded warm-up runs per (layer, batch).
 };
 
-/// Canonical text form of the profiler settings (every ProfileDb-visible
-/// field, fixed order, doubles at precision 17). Part of the plan service's
-/// request fingerprint: two requests whose profiles could differ must never
-/// share a cached plan.
-void write_canonical(std::ostream& out, const ProfilerOptions& options);
+/// Appends the canonical text form of the profiler settings (every
+/// ProfileDb-visible field, fixed order, doubles as "%.17g"). Part of the
+/// plan service's request fingerprint: two requests whose profiles could
+/// differ must never share a cached plan.
+void write_canonical(CanonicalWriter& out, const ProfilerOptions& options);
 
 /// Parses write_canonical output (byte-identity on re-serialization).
+/// Throws std::invalid_argument on malformed input.
 [[nodiscard]] ProfilerOptions read_canonical_profiler_options(
     std::istream& in);
 

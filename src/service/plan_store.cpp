@@ -7,6 +7,7 @@
 #include <ostream>
 #include <sstream>
 
+#include "common/canonical.h"
 #include "common/error.h"
 #include "service/request.h"
 
@@ -15,20 +16,6 @@ namespace dpipe {
 namespace fs = std::filesystem;
 
 namespace {
-
-double field(std::istream& in, const std::string& key) {
-  std::string token;
-  require(static_cast<bool>(in >> token) && token.size() > key.size() &&
-              token.compare(0, key.size(), key) == 0,
-          "malformed plan field, expected " + key);
-  return std::stod(token.substr(key.size()));
-}
-
-void expect_keyword(std::istream& in, const std::string& keyword) {
-  std::string token;
-  require(static_cast<bool>(in >> token) && token == keyword,
-          "expected keyword " + keyword);
-}
 
 Fingerprint read_fingerprint_line(std::istream& in,
                                   const std::string& keyword) {
@@ -72,22 +59,20 @@ void write_partition_opts(std::ostream& out, const PartitionOptions& opts) {
 PartitionOptions read_partition_opts(std::istream& in) {
   expect_keyword(in, "popts");
   PartitionOptions opts;
-  opts.num_stages = static_cast<int>(field(in, "s="));
-  opts.num_microbatches = static_cast<int>(field(in, "m="));
-  opts.group_size = static_cast<int>(field(in, "d="));
-  opts.data_parallel_degree = static_cast<int>(field(in, "dp="));
-  opts.microbatch_size = field(in, "mb=");
-  opts.self_conditioning = field(in, "sc=") != 0.0;
-  opts.self_cond_prob = field(in, "scp=");
-  opts.force_uniform_replicas = field(in, "fur=") != 0.0;
-  opts.comm_competition_factor = field(in, "ccf=");
-  opts.scalarize_dp_states = field(in, "sds=") != 0.0;
-  opts.dp_rank_stride = static_cast<int>(field(in, "stride="));
-  const auto num_ranks = static_cast<std::size_t>(field(in, "ranks="));
-  opts.device_ranks.resize(num_ranks);
+  opts.num_stages = read_integer_field<int>(in, "s=");
+  opts.num_microbatches = read_integer_field<int>(in, "m=");
+  opts.group_size = read_integer_field<int>(in, "d=");
+  opts.data_parallel_degree = read_integer_field<int>(in, "dp=");
+  opts.microbatch_size = read_double_field(in, "mb=");
+  opts.self_conditioning = read_integer_field<int>(in, "sc=") != 0;
+  opts.self_cond_prob = read_double_field(in, "scp=");
+  opts.force_uniform_replicas = read_integer_field<int>(in, "fur=") != 0;
+  opts.comm_competition_factor = read_double_field(in, "ccf=");
+  opts.scalarize_dp_states = read_integer_field<int>(in, "sds=") != 0;
+  opts.dp_rank_stride = read_integer_field<int>(in, "stride=");
+  const auto num_ranks = read_integer_field<std::size_t>(in, "ranks=");
   for (std::size_t i = 0; i < num_ranks; ++i) {
-    require(static_cast<bool>(in >> opts.device_ranks[i]),
-            "truncated device_ranks");
+    opts.device_ranks.push_back(read_integer<int>(in, "device_ranks"));
   }
   return opts;
 }
@@ -107,14 +92,14 @@ void write_plan_config(std::ostream& out, const PlanConfig& config) {
 PlanConfig read_plan_config(std::istream& in) {
   expect_keyword(in, "config");
   PlanConfig config;
-  config.num_stages = static_cast<int>(field(in, "s="));
-  config.num_microbatches = static_cast<int>(field(in, "m="));
-  config.group_size = static_cast<int>(field(in, "d="));
-  config.data_parallel_degree = static_cast<int>(field(in, "dp="));
-  config.predicted_iteration_ms = field(in, "t=");
-  config.planned_bubble_ratio = field(in, "br=");
-  config.memory_feasible = field(in, "mem=") != 0.0;
-  config.vstages = static_cast<int>(field(in, "v="));
+  config.num_stages = read_integer_field<int>(in, "s=");
+  config.num_microbatches = read_integer_field<int>(in, "m=");
+  config.group_size = read_integer_field<int>(in, "d=");
+  config.data_parallel_degree = read_integer_field<int>(in, "dp=");
+  config.predicted_iteration_ms = read_double_field(in, "t=");
+  config.planned_bubble_ratio = read_double_field(in, "br=");
+  config.memory_feasible = read_integer_field<int>(in, "mem=") != 0;
+  config.vstages = read_integer_field<int>(in, "v=");
   return config;
 }
 
@@ -152,9 +137,7 @@ CachedPlan load_plan_entry(std::istream& in) {
   entry.config = read_plan_config(in);
   entry.partition_opts = read_partition_opts(in);
   expect_keyword(in, "explored");
-  std::size_t explored_count = 0;
-  require(static_cast<bool>(in >> explored_count), "malformed explored");
-  entry.explored.reserve(explored_count);
+  const auto explored_count = read_integer<std::size_t>(in, "explored");
   for (std::size_t i = 0; i < explored_count; ++i) {
     entry.explored.push_back(read_plan_config(in));
   }

@@ -1,16 +1,16 @@
 #include "service/request.h"
 
 #include <istream>
-#include <ostream>
 #include <sstream>
 
+#include "common/canonical.h"
 #include "common/error.h"
 
 namespace dpipe {
 
 namespace {
 
-void write_candidates(std::ostream& out, const char* label,
+void write_candidates(CanonicalWriter& out, const char* label,
                       const std::vector<int>& values) {
   out << label << ' ' << values.size();
   for (const int v : values) {
@@ -20,16 +20,19 @@ void write_candidates(std::ostream& out, const char* label,
 }
 
 std::vector<int> read_candidates(std::istream& in, const std::string& label) {
-  std::string keyword;
-  require(static_cast<bool>(in >> keyword) && keyword == label,
-          "expected " + label + " line");
-  std::size_t count = 0;
-  require(static_cast<bool>(in >> count), "malformed " + label + " count");
-  std::vector<int> values(count);
+  expect_keyword(in, label);
+  const auto count = read_integer<std::size_t>(in, label);
+  std::vector<int> values;
   for (std::size_t i = 0; i < count; ++i) {
-    require(static_cast<bool>(in >> values[i]), "truncated " + label);
+    values.push_back(read_integer<int>(in, label));
   }
   return values;
+}
+
+std::string canonical_text(const auto& value) {
+  CanonicalWriter out;
+  write_canonical(out, value);
+  return out.take();
 }
 
 }  // namespace
@@ -37,8 +40,7 @@ std::vector<int> read_candidates(std::istream& in, const std::string& label) {
 std::string canonical_request_text(const PlanRequest& request) {
   PlannerOptions options = request.options;
   Planner::apply_default_candidates(options, request.cluster.world_size());
-  std::ostringstream out;
-  out.precision(17);
+  CanonicalWriter out;
   out << "dpipe-plan-request v1\n";
   write_canonical(out, request.model);
   write_canonical(out, request.cluster);
@@ -57,7 +59,7 @@ std::string canonical_request_text(const PlanRequest& request) {
   write_candidates(out, "vstage_candidates", options.vstage_candidates);
   write_canonical(out, options.profiler);
   out << "end\n";
-  return out.str();
+  return out.take();
 }
 
 PlanRequest parse_request_text(const std::string& text) {
@@ -68,34 +70,27 @@ PlanRequest parse_request_text(const std::string& text) {
   PlanRequest request;
   request.model = read_canonical_model(in);
   request.cluster = read_canonical_cluster(in);
-  std::string keyword;
-  require(static_cast<bool>(in >> keyword) && keyword == "options",
-          "expected options line");
-  const auto field = [&in](const std::string& key) {
-    std::string token;
-    require(static_cast<bool>(in >> token) && token.size() > key.size() &&
-                token.compare(0, key.size(), key) == 0,
-            "expected options field " + key);
-    return std::stod(token.substr(key.size()));
+  expect_keyword(in, "options");
+  const auto flag = [&in](std::string_view key) {
+    return read_integer_field<int>(in, key) != 0;
   };
-  request.options.global_batch = field("global_batch=");
-  request.options.enable_fill = field("fill=") != 0.0;
-  request.options.enable_partial = field("partial=") != 0.0;
-  request.options.check_memory = field("mem=") != 0.0;
-  request.options.one_replica_per_stage = field("one_replica=") != 0.0;
-  request.options.integer_microbatches = field("int_micro=") != 0.0;
-  request.options.enable_pruning = field("prune=") != 0.0;
-  request.options.require_bindable_placement = field("bindable=") != 0.0;
+  request.options.global_batch = read_double_field(in, "global_batch=");
+  request.options.enable_fill = flag("fill=");
+  request.options.enable_partial = flag("partial=");
+  request.options.check_memory = flag("mem=");
+  request.options.one_replica_per_stage = flag("one_replica=");
+  request.options.integer_microbatches = flag("int_micro=");
+  request.options.enable_pruning = flag("prune=");
+  request.options.require_bindable_placement = flag("bindable=");
   request.options.schedule_family =
-      static_cast<ScheduleFamily>(static_cast<int>(field("family=")));
+      static_cast<ScheduleFamily>(read_integer_field<int>(in, "family="));
   request.options.stage_candidates = read_candidates(in, "stage_candidates");
   request.options.micro_candidates = read_candidates(in, "micro_candidates");
   request.options.group_candidates = read_candidates(in, "group_candidates");
   request.options.vstage_candidates =
       read_candidates(in, "vstage_candidates");
   request.options.profiler = read_canonical_profiler_options(in);
-  require(static_cast<bool>(in >> keyword) && keyword == "end",
-          "expected request terminator");
+  expect_keyword(in, "end");
   return request;
 }
 
@@ -104,15 +99,11 @@ Fingerprint request_fingerprint(const PlanRequest& request) {
 }
 
 Fingerprint model_fingerprint(const ModelDesc& model) {
-  std::ostringstream out;
-  write_canonical(out, model);
-  return fingerprint_bytes(out.str());
+  return fingerprint_bytes(canonical_text(model));
 }
 
 Fingerprint cluster_fingerprint(const ClusterSpec& cluster) {
-  std::ostringstream out;
-  write_canonical(out, cluster);
-  return fingerprint_bytes(out.str());
+  return fingerprint_bytes(canonical_text(cluster));
 }
 
 }  // namespace dpipe

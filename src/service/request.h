@@ -21,9 +21,9 @@ struct PlanRequest {
 
 /// The canonical byte encoding of a request: model profile bytes, cluster
 /// topology, and every *result-visible* planner option, in a fixed order
-/// with doubles at precision 17. Two requests canonicalize identically iff
-/// the planner is guaranteed to produce bit-identical plans for them, so
-/// this text is simultaneously
+/// with doubles as printf "%.17g" (CanonicalWriter). Two requests
+/// canonicalize identically iff the planner is guaranteed to produce
+/// bit-identical plans for them, so this text is simultaneously
 ///   - the whole-plan cache key (exact-match, collision-proof),
 ///   - the fingerprint input (Fingerprint names the entry on disk/wire),
 ///   - the wire encoding of a request (it parses back losslessly).
@@ -40,7 +40,8 @@ struct PlanRequest {
 
 /// Parses canonical_request_text output (excluded options take their
 /// defaults). canonical_request_text(parse_request_text(t)) == t.
-/// Throws std::invalid_argument on malformed input.
+/// Throws std::invalid_argument on malformed input, including a numeric
+/// field that is empty, out of double range, or followed by stray bytes.
 [[nodiscard]] PlanRequest parse_request_text(const std::string& text);
 
 /// Fingerprint of canonical_request_text(request).

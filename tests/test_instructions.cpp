@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <string>
 
 #include "core/fill/filler.h"
 #include "core/instr/instructions.h"
@@ -215,6 +216,32 @@ TEST(Serialize, RejectsMalformedInput) {
           "device 0 preamble 1\n"
           "teleport b=0 s=0 m=0 c=0 l=0:1 n=1 p=-1 sz=0\n"),  // Bad kind.
       std::invalid_argument);
+}
+
+TEST(Serialize, RejectsMalformedNumbers) {
+  const auto program_with = [](const std::string& instruction) {
+    return "dpipe-program v1\ngroup_size 1\nnum_backbones 1\n"
+           "device 0 preamble 1\n" +
+           instruction + "\ndevice 0 steady 0\n";
+  };
+  const std::string kind = to_string(InstrKind::kForward);
+  const InstructionProgram valid = program_from_string(
+      program_with(kind + " b=0 s=0 m=0 c=0 l=0:1 n=1.5 p=-1 sz=4.9e-324"));
+  EXPECT_EQ(valid.preamble[0][0].size_mb, 4.9e-324);
+  for (const std::string fields :
+       {" b=0 s=0 m=0 c=0 l=0:1 n=1.5xyz p=-1 sz=0",   // Stray bytes.
+        " b=0 s=0 m=0 c=0 l=0:1 n=1e999 p=-1 sz=0",    // Out of range.
+        " b=0 s=0 m=0 c=0 l=0:1 n= p=-1 sz=0",         // Empty field.
+        " b=0.5 s=0 m=0 c=0 l=0:1 n=1 p=-1 sz=0",      // Not an integer.
+        " b=0 s=0 m=0 c=0 l=0:1x n=1 p=-1 sz=0",       // Stray range bytes.
+        " b=0 s=0 m=0 c=0 l=:1 n=1 p=-1 sz=0",         // Empty range bound.
+        " b=0 s=0 m=0 c=0 l=0:1 n=1 p=99999999999 sz=0",  // Beyond int.
+        " b=0 s=0 m=0 c=0 l=0:1 n=1 p=-1 sz=0 extra",  // Stray token.
+        " b=0 s=0 m=0 c=0 l=0:1 n=1 p=-1"}) {          // Truncated.
+    SCOPED_TRACE(fields);
+    EXPECT_THROW((void)program_from_string(program_with(kind + fields)),
+                 std::invalid_argument);
+  }
 }
 
 // --- Pareto DP ablation ------------------------------------------------------

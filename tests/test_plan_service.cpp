@@ -9,7 +9,9 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <array>
 #include <atomic>
+#include <cmath>
 #include <chrono>
 #include <filesystem>
 #include <fstream>
@@ -59,6 +61,62 @@ void expect_entries_identical(const CachedPlan& a, const CachedPlan& b) {
   EXPECT_TRUE(a.partition_opts == b.partition_opts);
   EXPECT_EQ(a.explored, b.explored);
   EXPECT_EQ(a.program_text, b.program_text);
+}
+
+/// small_request() with extreme doubles in every layer field of the first
+/// backbone layers, the cluster, and the profiler: negative zero,
+/// subnormals, huge and long-mantissa values, and non-terminating binary
+/// fractions. Layer i's fields take the values rotated by i, so each field
+/// sees each value.
+PlanRequest edge_value_request() {
+  constexpr std::array<double, 8> kEdges = {
+      -0.0, 4.9e-324, 1e-310, 1e300, 1e17, 1.0 / 3, 0.1,
+      123456789012345678.0};
+  PlanRequest request = small_request();
+  ComponentDesc& backbone =
+      request.model.components[request.model.backbone_ids[0]];
+  for (std::size_t i = 0; i < kEdges.size(); ++i) {
+    LayerDesc& l = backbone.layers[i];
+    double* const fields[] = {&l.fwd_gflop,       &l.bwd_flop_factor,
+                              &l.param_mb,        &l.grad_mb,
+                              &l.output_mb,       &l.act_mb,
+                              &l.overhead_fwd_ms, &l.overhead_bwd_ms,
+                              &l.efficiency};
+    for (std::size_t f = 0; f < std::size(fields); ++f) {
+      *fields[f] = kEdges[(i + f) % kEdges.size()];
+    }
+  }
+  request.model.self_cond_prob = 4.9e-324;
+  request.cluster.intra.latency_ms = 1e-310;
+  request.cluster.device.mem_bw_gbps = 123456789012345678.0;
+  request.options.global_batch = 1.0 / 3;
+  request.options.profiler.noise_amplitude = -0.0;
+  request.options.profiler.batch_grid.push_back(1e300);
+  return request;
+}
+
+/// `text` with the value that follows the first `key` at or after `from`
+/// (up to the next space or newline) replaced by `value`.
+std::string with_value(std::string text, const std::string& key,
+                       const std::string& value, std::size_t from = 0) {
+  const std::size_t at = text.find(key, from);
+  EXPECT_NE(at, std::string::npos) << key;
+  const std::size_t begin = at + key.size();
+  const std::size_t end = text.find_first_of(" \n", begin);
+  return text.replace(begin, end - begin, value);
+}
+
+/// The three hostile spellings of the number that follows `key`: stray
+/// bytes after it, a value beyond double range, and an empty field.
+std::vector<std::string> hostile_numbers(const std::string& text,
+                                         const std::string& key,
+                                         std::size_t from = 0) {
+  const std::size_t begin = text.find(key, from) + key.size();
+  const std::string value =
+      text.substr(begin, text.find_first_of(" \n", begin) - begin);
+  return {with_value(text, key, value + "xyz", from),
+          with_value(text, key, "1e999", from),
+          with_value(text, key, "", from)};
 }
 
 // --- Canonical request identity ---------------------------------------------
@@ -119,6 +177,86 @@ TEST(PlanFingerprint, HexRoundTrips) {
   EXPECT_EQ(fp.hex().size(), 32u);
   EXPECT_EQ(Fingerprint::from_hex(fp.hex()), fp);
   EXPECT_THROW((void)Fingerprint::from_hex("nope"), std::invalid_argument);
+}
+
+TEST(PlanFingerprint, GoldenCanonicalBytes) {
+  // Pinned fingerprints of the canonical bytes of two paper workloads. The
+  // request text is the plan-cache key and the name of every stored plan,
+  // so any drift in the canonical writer (request, model, cluster,
+  // profiler, or program text) must fail here, not silently orphan
+  // persisted plans.
+  struct Golden {
+    ModelDesc model;
+    int machines;
+    double global_batch;
+    const char* request;
+    std::size_t request_bytes;
+    const char* model_fp;
+    const char* cluster_fp;
+    const char* program;
+    std::size_t program_bytes;
+  };
+  const Golden goldens[] = {
+      {make_stable_diffusion_v21(), 2, 512.0,
+       "2876b495c190f613959c2e25a44d9e34", 13345,
+       "c13c3cc4e51646815530c7eeed4f63e2",
+       "d4c2532cfab5953e7daf613180ea20fe",
+       "20e97d4b46e702bae46adc94cac20b26", 8643},
+      {make_cdm_lsun(), 1, 128.0, "57eb412255c608f6f9fc01316caa4abb", 10757,
+       "5a273b6a4d9bda1985e5efc09d56df75",
+       "ac6de2522f01667389e269e1f74df27b",
+       "b6f6c463fc1b4d79e833c37accc772a9", 4216},
+  };
+  for (const Golden& golden : goldens) {
+    SCOPED_TRACE(golden.model.name);
+    PlanRequest request;
+    request.model = golden.model;
+    request.cluster = make_p4de_cluster(golden.machines);
+    request.options.global_batch = golden.global_batch;
+    const std::string text = canonical_request_text(request);
+    EXPECT_EQ(text.size(), golden.request_bytes);
+    EXPECT_EQ(fingerprint_bytes(text).hex(), golden.request);
+    EXPECT_EQ(model_fingerprint(request.model).hex(), golden.model_fp);
+    EXPECT_EQ(cluster_fingerprint(request.cluster).hex(), golden.cluster_fp);
+    const std::string program = program_to_string(
+        Planner(request.model, request.cluster, request.options)
+            .plan()
+            .program);
+    EXPECT_EQ(program.size(), golden.program_bytes);
+    EXPECT_EQ(fingerprint_bytes(program).hex(), golden.program);
+  }
+}
+
+TEST(PlanFingerprint, EdgeValuesRoundTripLosslessly) {
+  const PlanRequest request = edge_value_request();
+  const std::string text = canonical_request_text(request);
+  // The printf "%.17g" spellings, so the bytes match any C library.
+  EXPECT_NE(text.find(" fwd=-0 "), std::string::npos);
+  EXPECT_NE(text.find(" act=4.9406564584124654e-324 "), std::string::npos);
+  EXPECT_NE(text.find("=1.2345678901234568e+17 "), std::string::npos);
+  EXPECT_NE(text.find("=0.33333333333333331 "), std::string::npos);
+  const PlanRequest parsed = parse_request_text(text);
+  EXPECT_EQ(canonical_request_text(parsed), text);
+  const LayerDesc& layer =
+      parsed.model.components[parsed.model.backbone_ids[0]].layers[0];
+  EXPECT_TRUE(std::signbit(layer.fwd_gflop));
+  EXPECT_EQ(parsed.model.self_cond_prob, 4.9e-324);
+  EXPECT_EQ(parsed.cluster.intra.latency_ms, 1e-310);
+}
+
+TEST(PlanFingerprint, HostileNumbersFailWithInvalidArgument) {
+  const std::string text = canonical_request_text(small_request());
+  ASSERT_NO_THROW((void)parse_request_text(text));
+  // One key per reader: model layer, model header, cluster, request
+  // options, candidate lists, profiler.
+  for (const std::string key :
+       {" fwd=", " act=", "self_conditioning ", "intra ", "global_batch=",
+        " prune=", "micro_candidates 2 ", "noise ", "repeats "}) {
+    for (const std::string& mutant : hostile_numbers(text, key)) {
+      SCOPED_TRACE(key);
+      EXPECT_THROW((void)parse_request_text(mutant), std::invalid_argument);
+    }
+  }
 }
 
 // --- StageCostStore lease protocol ------------------------------------------
@@ -319,6 +457,64 @@ TEST(PlanStore, CorruptEntriesAreDroppedAndDeleted) {
   EXPECT_EQ(report.plans.size(), 0u);
   EXPECT_EQ(report.corrupt_dropped, 1u);
   EXPECT_EQ(store.size(), 0u);  // Deleted from disk, not just skipped.
+}
+
+TEST(PlanStore, LoadsEntryWithEdgeValueNumbers) {
+  // Loading verifies an entry by re-parsing its request bytes, so a request
+  // holding subnormal or extreme doubles must survive a warm restart
+  // instead of being deleted as corrupt.
+  const PlanRequest request = edge_value_request();
+  CachedPlan entry = real_entry();
+  entry.request_text = canonical_request_text(request);
+  entry.fingerprint = fingerprint_bytes(entry.request_text);
+  entry.model_fp = model_fingerprint(request.model);
+  entry.cluster_fp = cluster_fingerprint(request.cluster);
+  PlanStore store(scratch_dir("store_edge_values"));
+  store.put(entry);
+  const PlanStore::LoadReport report = store.load_all();
+  EXPECT_EQ(report.corrupt_dropped, 0u);
+  ASSERT_EQ(report.plans.size(), 1u);
+  expect_entries_identical(entry, *report.plans[0]);
+}
+
+TEST(PlanStore, HostileNumbersFailWithInvalidArgument) {
+  const auto saved = [](const CachedPlan& entry) {
+    std::ostringstream out;
+    save_plan_entry(entry, out);
+    return out.str();
+  };
+  const auto load = [](const std::string& bytes) {
+    std::istringstream in(bytes);
+    return load_plan_entry(in);
+  };
+  const std::string bytes = saved(real_entry());
+  ASSERT_NO_THROW((void)load(bytes));
+  // The entry's own fields: winning config and partition context.
+  const std::size_t config = bytes.find("\nconfig ");
+  std::vector<std::string> mutants;
+  for (const std::string key : {" t=", " br=", " mb=", " ranks="}) {
+    for (std::string& mutant : hostile_numbers(bytes, key, config)) {
+      mutants.push_back(std::move(mutant));
+    }
+  }
+  // Hostile numbers inside the program block and inside correctly
+  // fingerprinted request bytes (the size headers stay in step).
+  for (const std::string& program :
+       hostile_numbers(real_entry().program_text, " sz=")) {
+    CachedPlan entry = real_entry();
+    entry.program_text = program;
+    mutants.push_back(saved(entry));
+  }
+  for (const std::string& request :
+       hostile_numbers(real_entry().request_text, " eff=")) {
+    CachedPlan entry = real_entry();
+    entry.request_text = request;
+    entry.fingerprint = fingerprint_bytes(request);
+    mutants.push_back(saved(entry));
+  }
+  for (const std::string& mutant : mutants) {
+    EXPECT_THROW((void)load(mutant), std::invalid_argument);
+  }
 }
 
 TEST(PlanStore, InvalidateClusterRemovesMatchingFiles) {

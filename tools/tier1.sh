@@ -6,8 +6,9 @@
 # fork-join and nested/concurrent planner tests, the parallel planner-search
 # determinism tests, the kernel/pool substrate tests (row-block fan-out,
 # concurrent TensorPool), and the plan-service suites (single-flight cache,
-# stage-cost leases, concurrent request determinism), ending with a
-# socket-level request-storm smoke of dpipe_plan_serve.
+# stage-cost leases, concurrent request determinism), then an
+# AddressSanitizer + UBSan build running the text codec suites, ending with
+# a socket-level request-storm smoke of dpipe_plan_serve.
 # Run from the repository root.
 set -euo pipefail
 
@@ -34,6 +35,17 @@ cmake --build build-tsan -j"$(nproc)" --target dpipe_tests
 TSAN_OPTIONS="halt_on_error=1" DPIPE_THREADS=4 \
   ./build-tsan/tests/dpipe_tests \
   --gtest_filter='Channel.*:PipelineTrainer.*:Equivalence.*:Fault.*:ParallelFor.*:Executor.*:WaveWidth.*:PlannerSearch.*:Kernels.*:TensorPool.*:Trajectory.*:RngSeed.*:SimdDispatch.*:SimdParity.*:FastMode.*:Interpreter.*:Parity.*:Interleaved.*:Elastic.*:Reshard.*:CheckpointIo.*:PlanFingerprint.*:StageCostStore.*:PlanCache.*:PlanStore.*:PlanService.*:PlanProtocol.*:Eltwise*'
+
+echo "== tier-1: AddressSanitizer + UBSan build (text codecs) =="
+# The canonical writer formats numbers into fixed stack buffers and the
+# readers parse outside bytes: run the request/model/cluster/profiler
+# fingerprint, plan store, wire protocol, checkpoint and .dpipe serializer
+# suites (golden bytes, edge values, hostile numbers) under ASan + UBSan.
+cmake -B build-asan -S . -DDPIPE_SANITIZE=address
+cmake --build build-asan -j"$(nproc)" --target dpipe_tests
+ASAN_OPTIONS="halt_on_error=1" UBSAN_OPTIONS="print_stacktrace=1" \
+  ./build-asan/tests/dpipe_tests \
+  --gtest_filter='PlanFingerprint.*:PlanStore.*:PlanProtocol.*:CheckpointIo.*:Serialize.*'
 
 echo "== tier-1: interleaved schedule smoke (executor widths 1 and 4) =="
 # The interleaved family exercises multi-virtual-stage device timelines on
