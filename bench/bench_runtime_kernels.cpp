@@ -1,22 +1,24 @@
 // Runtime kernel & memory substrate benchmark (DESIGN.md §8, §11, §13):
-// matmul GFLOP/s for the naive / blocked / blocked+parallel / fast paths
-// across the three transpose variants — square shapes plus the rectangular
-// (skinny/tall) batch x hidden GEMMs the trainer actually issues — a
-// roofline section comparing achieved GFLOP/s against the measured
-// register-tile compute ceiling at the active SIMD level, an elementwise
-// bandwidth section (GB/s, scalar vs active SIMD level) for the fused
-// eltwise/optimizer kernels, end-to-end PipelineTrainer iterations/s under
-// each kernel mode, a GEMM vs non-GEMM time breakdown of the trainer loop
-// (via the runtime op profiler), and TensorPool recycling/alignment stats.
-// Prints a table and writes BENCH_runtime.json (pass an output path to
-// override; pass --quick for a fast smoke run).
+// matmul GFLOP/s of the naive reference and of the blocked kernels at
+// executor width 1 and at the default width, across the three transpose
+// variants — square shapes plus the rectangular (skinny/tall) batch x
+// hidden GEMMs the trainer actually issues — a roofline section comparing
+// achieved GFLOP/s against the measured register-tile compute ceiling at
+// the active SIMD level, an elementwise bandwidth section (GB/s, scalar vs
+// active SIMD level) for the fused eltwise/optimizer kernels, end-to-end
+// PipelineTrainer iterations/s, a GEMM vs non-GEMM time breakdown of the
+// trainer loop (via the runtime op profiler), and TensorPool
+// recycling/alignment stats. Prints a table and writes BENCH_runtime.json
+// (pass an output path to override; pass --quick for a fast smoke run).
 //
 // Timing idiom (SNIPPETS §2–3, the DeployUseTensorRT harness): set up
 // once, one untimed warm-up, then a timed loop of enough calls to swamp
-// clock granularity, best-of-reps. The end-to-end section interleaves the
-// kernel modes round-robin across repetitions so slow drift on a shared
-// machine (frequency scaling, co-tenants) hits every mode equally instead
-// of biasing whichever ran last.
+// clock granularity, best-of-reps. The end-to-end section interleaves its
+// cases round-robin across repetitions so slow drift on a shared machine
+// (frequency scaling, co-tenants) hits every case equally instead of
+// biasing whichever ran last.
+
+#include <sched.h>
 
 #include <algorithm>
 #include <chrono>
@@ -27,6 +29,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "runtime/dp_trainer.h"
@@ -40,6 +43,16 @@ namespace {
 
 using namespace dpipe::rt;
 
+/// CPUs this process may run on (what `nproc` prints).
+int available_cpus() {
+  cpu_set_t mask;
+  CPU_ZERO(&mask);
+  if (sched_getaffinity(0, sizeof(mask), &mask) == 0) {
+    return CPU_COUNT(&mask);
+  }
+  return static_cast<int>(std::thread::hardware_concurrency());
+}
+
 double now_ms() {
   return std::chrono::duration<double, std::milli>(
              std::chrono::steady_clock::now().time_since_epoch())
@@ -49,12 +62,11 @@ double now_ms() {
 struct MatmulRow {
   std::string op;
   int m = 0, k = 0, n = 0;
-  double naive_gflops = 0.0;
-  double blocked_gflops = 0.0;
-  double parallel_gflops = 0.0;
-  double fast_gflops = 0.0;
-  double blocked_vs_naive = 0.0;
-  double parallel_vs_blocked = 0.0;
+  double naive_gflops = 0.0;       ///< Executor width 1.
+  double blocked_w1_gflops = 0.0;  ///< Executor width 1.
+  double blocked_gflops = 0.0;     ///< Default executor width.
+  double blocked_vs_naive = 0.0;   ///< Both at width 1.
+  double width_speedup = 0.0;      ///< Default width vs width 1.
 };
 
 using MatmulFn = void (*)(Tensor&, const Tensor&, const Tensor&, KernelMode);
@@ -120,16 +132,13 @@ MatmulRow run_matmul_case(const std::string& op, int m, int k, int n,
   // Naive is two orders of magnitude slower; fewer reps at big shapes.
   row.naive_gflops = time_gflops(fn, out, a, b, KernelMode::kNaive, flops,
                                  flops >= (1 << 26) ? 1 : 2);
-  row.blocked_gflops =
+  row.blocked_w1_gflops =
       time_gflops(fn, out, a, b, KernelMode::kBlocked, flops, reps);
   set_kernel_threads(0);
-  row.parallel_gflops = time_gflops(fn, out, a, b,
-                                    KernelMode::kBlockedParallel, flops,
-                                    reps);
-  row.fast_gflops =
-      time_gflops(fn, out, a, b, KernelMode::kFast, flops, reps);
-  row.blocked_vs_naive = row.blocked_gflops / row.naive_gflops;
-  row.parallel_vs_blocked = row.parallel_gflops / row.blocked_gflops;
+  row.blocked_gflops =
+      time_gflops(fn, out, a, b, KernelMode::kBlocked, flops, reps);
+  row.blocked_vs_naive = row.blocked_w1_gflops / row.naive_gflops;
+  row.width_speedup = row.blocked_gflops / row.blocked_w1_gflops;
   return row;
 }
 
@@ -231,6 +240,7 @@ std::vector<EltwiseRow> run_eltwise_cases(std::int64_t n, int reps) {
 
 struct EndToEndRow {
   std::string mode;
+  int width = 0;  ///< Executor width.
   double iters_per_s = 0.0;
   double speedup = 0.0;  ///< vs naive.
 };
@@ -255,26 +265,34 @@ DdpmConfig e2e_problem_config() {
 
 /// Iterations/s of the full pipeline trainer (the default example config:
 /// self-conditioning, cross-iteration frozen part, 3 stages x 4 micros x
-/// 2 replicas) under each kernel mode. One persistent trainer per mode;
-/// the modes are timed round-robin for `rounds` repetitions of `iters`
-/// each, best-of-rounds per mode.
+/// 2 replicas): the naive reference at the default executor width, then
+/// the blocked kernels at width 1 and at the default width. One persistent
+/// trainer per case; the cases are timed round-robin for `rounds`
+/// repetitions of `iters` each, best-of-rounds per case.
 std::vector<EndToEndRow> run_end_to_end(int iters, int rounds) {
-  const std::vector<KernelMode> modes = {
-      KernelMode::kNaive, KernelMode::kBlocked,
-      KernelMode::kBlockedParallel, KernelMode::kFast};
+  struct Case {
+    KernelMode mode;
+    int width;  ///< 0: the default width.
+  };
+  const std::vector<Case> cases = {{KernelMode::kNaive, 0},
+                                   {KernelMode::kBlocked, 1},
+                                   {KernelMode::kBlocked, 0}};
   const DdpmProblem problem(e2e_problem_config());
   const PipelineRtConfig cfg = e2e_config();
-  set_kernel_threads(0);
+  const auto select = [](const Case& c) {
+    set_kernel_mode(c.mode);
+    set_kernel_threads(c.width);
+  };
   std::vector<std::unique_ptr<PipelineTrainer>> trainers;
-  std::vector<double> best_ms(modes.size(), 0.0);
-  for (const KernelMode mode : modes) {
-    set_kernel_mode(mode);
+  std::vector<double> best_ms(cases.size(), 0.0);
+  for (const Case& c : cases) {
+    select(c);
     trainers.push_back(std::make_unique<PipelineTrainer>(problem, cfg));
     trainers.back()->train(2);  // Warm-up: thread startup, pool fill.
   }
   for (int round = 0; round < rounds; ++round) {
-    for (std::size_t i = 0; i < modes.size(); ++i) {
-      set_kernel_mode(modes[i]);
+    for (std::size_t i = 0; i < cases.size(); ++i) {
+      select(cases[i]);
       const double start = now_ms();
       trainers[i]->train(iters);
       const double ms = now_ms() - start;
@@ -284,13 +302,16 @@ std::vector<EndToEndRow> run_end_to_end(int iters, int rounds) {
     }
   }
   std::vector<EndToEndRow> rows;
-  for (std::size_t i = 0; i < modes.size(); ++i) {
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    select(cases[i]);
     EndToEndRow row;
-    row.mode = kernel_mode_name(modes[i]);
+    row.mode = kernel_mode_name(cases[i].mode);
+    row.width = kernel_threads();
     row.iters_per_s = iters / (best_ms[i] / 1000.0);
     row.speedup = row.iters_per_s / (iters / (best_ms[0] / 1000.0));
     rows.push_back(std::move(row));
   }
+  set_kernel_threads(0);
   return rows;
 }
 
@@ -307,11 +328,11 @@ struct OpBreakdown {
 
 /// Where the trainer's compute time goes, via the runtime op profiler:
 /// matmul vs dispatched-eltwise nanoseconds accumulated across all stage
-/// threads over `iters` iterations under kBlockedParallel. The op times
+/// threads over `iters` iterations at the default executor width. The op times
 /// are thread-summed, so they can exceed wall time on a multi-core box;
 /// the share is the meaningful number.
 OpBreakdown run_op_breakdown(int iters) {
-  set_kernel_mode(KernelMode::kBlockedParallel);
+  set_kernel_mode(KernelMode::kBlocked);
   set_kernel_threads(0);
   const DdpmProblem problem(e2e_problem_config());
   PipelineTrainer trainer(problem, e2e_config());
@@ -347,10 +368,13 @@ int main(int argc, char** argv) {
     }
   }
 
+  const int width = kernel_threads();
   std::printf("== Runtime kernel & memory substrate ==\n");
-  std::printf("simd: %s (detected %s), kernel pool threads: %d\n\n",
+  std::printf("simd: %s (detected %s), nproc: %d, executor width: %d, "
+              "build: %s\n\n",
               simd_level_name(simd_level()),
-              simd_level_name(detected_simd_level()), kernel_threads());
+              simd_level_name(detected_simd_level()), available_cpus(),
+              width, DPIPE_BUILD_TYPE);
 
   struct Shape {
     int m, k, n;
@@ -375,35 +399,32 @@ int main(int argc, char** argv) {
   }
   const int reps = quick ? 2 : 5;
 
-  std::printf("%-4s %5s %5s %5s %10s %11s %12s %10s %9s %8s\n", "op", "m",
-              "k", "n", "naive_gf", "blocked_gf", "parallel_gf", "fast_gf",
-              "blk/naive", "par/blk");
+  const std::string wide_col = "blk_w" + std::to_string(width) + "_gf";
+  std::printf("%-4s %5s %5s %5s %10s %10s %10s %9s %8s\n", "op", "m", "k",
+              "n", "naive_gf", "blk_w1_gf", wide_col.c_str(), "blk/naive",
+              "wN/w1");
   std::vector<MatmulRow> matmul_rows;
   for (const Shape& s : shapes) {
     for (const std::string op : {"nn", "tn", "nt"}) {
       const MatmulRow row = run_matmul_case(op, s.m, s.k, s.n, reps);
-      std::printf(
-          "%-4s %5d %5d %5d %10.2f %11.2f %12.2f %10.2f %8.1fx %7.2fx\n",
-          row.op.c_str(), row.m, row.k, row.n, row.naive_gflops,
-          row.blocked_gflops, row.parallel_gflops, row.fast_gflops,
-          row.blocked_vs_naive, row.parallel_vs_blocked);
+      std::printf("%-4s %5d %5d %5d %10.2f %10.2f %10.2f %8.1fx %7.2fx\n",
+                  row.op.c_str(), row.m, row.k, row.n, row.naive_gflops,
+                  row.blocked_w1_gflops, row.blocked_gflops,
+                  row.blocked_vs_naive, row.width_speedup);
       matmul_rows.push_back(row);
     }
   }
 
-  // Roofline: measured register-tile ceilings at the active SIMD level
+  // Roofline: measured register-tile ceiling at the active SIMD level
   // (single thread, L1-resident — the compute bound the packed kernels
-  // chase), and the fraction each shape achieves.
-  const double peak_exact = measured_peak_gflops(KernelMode::kBlocked);
-  const double peak_fast = measured_peak_gflops(KernelMode::kFast);
-  std::printf("\nroofline (%s): exact peak %.2f GF/s, fast peak %.2f GF/s\n",
-              simd_level_name(simd_level()), peak_exact, peak_fast);
-  std::printf("%-4s %5s %5s %5s %12s %12s\n", "op", "m", "k", "n",
-              "exact_pct", "fast_pct");
+  // chase), and the fraction each shape achieves at width 1.
+  const double peak = measured_peak_gflops();
+  std::printf("\nroofline (%s): single-thread peak %.2f GF/s\n",
+              simd_level_name(simd_level()), peak);
+  std::printf("%-4s %5s %5s %5s %12s\n", "op", "m", "k", "n", "w1_pct");
   for (const MatmulRow& r : matmul_rows) {
-    std::printf("%-4s %5d %5d %5d %11.1f%% %11.1f%%\n", r.op.c_str(), r.m,
-                r.k, r.n, 100.0 * r.blocked_gflops / peak_exact,
-                100.0 * r.fast_gflops / peak_fast);
+    std::printf("%-4s %5d %5d %5d %11.1f%%\n", r.op.c_str(), r.m, r.k, r.n,
+                100.0 * r.blocked_w1_gflops / peak);
   }
 
   // Elementwise bandwidth: GB/s of actual memory traffic per dispatched
@@ -425,25 +446,24 @@ int main(int argc, char** argv) {
   const int e2e_iters = quick ? 6 : 20;
   const int e2e_rounds = quick ? 2 : 3;
   TensorPool::global().reset_stats();
-  std::printf("\n%-18s %10s %9s   (PipelineTrainer, best of %d x %d iters, "
-              "interleaved)\n",
-              "mode", "iters/s", "speedup", e2e_rounds, e2e_iters);
+  std::printf("\n%-8s %6s %10s %9s   (PipelineTrainer, best of %d x %d "
+              "iters, interleaved)\n",
+              "mode", "width", "iters/s", "speedup", e2e_rounds, e2e_iters);
   const std::vector<EndToEndRow> e2e_rows =
       run_end_to_end(e2e_iters, e2e_rounds);
   for (const EndToEndRow& row : e2e_rows) {
-    std::printf("%-18s %10.1f %8.2fx\n", row.mode.c_str(), row.iters_per_s,
-                row.speedup);
+    std::printf("%-8s %6d %10.1f %8.2fx\n", row.mode.c_str(), row.width,
+                row.iters_per_s, row.speedup);
   }
-  set_kernel_mode(KernelMode::kBlockedParallel);
 
-  // GEMM vs non-GEMM: where the blocked_parallel trainer's compute time
-  // goes, accumulated across stage threads by the runtime op profiler.
+  // GEMM vs non-GEMM: where the trainer's compute time goes at the default
+  // width, accumulated across threads by the runtime op profiler.
   const OpBreakdown bd = run_op_breakdown(e2e_iters);
   std::printf(
-      "\nop breakdown (blocked_parallel, %d iters): wall %.1f ms, "
+      "\nop breakdown (blocked, width %d, %d iters): wall %.1f ms, "
       "matmul %.1f ms / %llu calls, eltwise %.1f ms / %llu calls, "
       "non-GEMM share %.1f%%\n",
-      e2e_iters, bd.wall_ms, bd.matmul_ms,
+      width, e2e_iters, bd.wall_ms, bd.matmul_ms,
       static_cast<unsigned long long>(bd.matmul_calls), bd.eltwise_ms,
       static_cast<unsigned long long>(bd.eltwise_calls),
       100.0 * bd.nongemm_share);
@@ -466,28 +486,28 @@ int main(int argc, char** argv) {
 
   std::ofstream json(out_path);
   json << "{\n  \"simd\": \"" << simd_level_name(simd_level())
+       << "\",\n  \"nproc\": " << available_cpus()
+       << ",\n  \"executor_width\": " << width
+       << ",\n  \"build_type\": \"" << DPIPE_BUILD_TYPE
        << "\",\n  \"matmul\": [\n";
   for (std::size_t i = 0; i < matmul_rows.size(); ++i) {
     const MatmulRow& r = matmul_rows[i];
     json << "    {\"op\": \"" << r.op << "\", \"m\": " << r.m
          << ", \"k\": " << r.k << ", \"n\": " << r.n
          << ", \"naive_gflops\": " << r.naive_gflops
+         << ", \"blocked_w1_gflops\": " << r.blocked_w1_gflops
          << ", \"blocked_gflops\": " << r.blocked_gflops
-         << ", \"parallel_gflops\": " << r.parallel_gflops
-         << ", \"fast_gflops\": " << r.fast_gflops
          << ", \"blocked_vs_naive\": " << r.blocked_vs_naive
-         << ", \"parallel_vs_blocked\": " << r.parallel_vs_blocked << "}"
+         << ", \"width_speedup\": " << r.width_speedup << "}"
          << (i + 1 < matmul_rows.size() ? "," : "") << "\n";
   }
-  json << "  ],\n  \"roofline\": {\n    \"peak_exact_gflops\": "
-       << peak_exact << ",\n    \"peak_fast_gflops\": " << peak_fast
+  json << "  ],\n  \"roofline\": {\n    \"peak_gflops\": " << peak
        << ",\n    \"rows\": [\n";
   for (std::size_t i = 0; i < matmul_rows.size(); ++i) {
     const MatmulRow& r = matmul_rows[i];
     json << "      {\"op\": \"" << r.op << "\", \"m\": " << r.m
          << ", \"k\": " << r.k << ", \"n\": " << r.n
-         << ", \"exact_pct\": " << 100.0 * r.blocked_gflops / peak_exact
-         << ", \"fast_pct\": " << 100.0 * r.fast_gflops / peak_fast << "}"
+         << ", \"w1_pct\": " << 100.0 * r.blocked_w1_gflops / peak << "}"
          << (i + 1 < matmul_rows.size() ? "," : "") << "\n";
   }
   json << "    ]\n  },\n  \"eltwise\": [\n";
@@ -503,12 +523,14 @@ int main(int argc, char** argv) {
   for (std::size_t i = 0; i < e2e_rows.size(); ++i) {
     const EndToEndRow& r = e2e_rows[i];
     json << "    {\"mode\": \"" << r.mode
-         << "\", \"iters_per_s\": " << r.iters_per_s
+         << "\", \"executor_width\": " << r.width
+         << ", \"iters_per_s\": " << r.iters_per_s
          << ", \"speedup\": " << r.speedup << "}"
          << (i + 1 < e2e_rows.size() ? "," : "") << "\n";
   }
-  json << "  ],\n  \"op_breakdown\": {\"mode\": \"blocked_parallel\", "
-       << "\"iters\": " << e2e_iters << ", \"wall_ms\": " << bd.wall_ms
+  json << "  ],\n  \"op_breakdown\": {\"mode\": \"blocked\", "
+       << "\"executor_width\": " << width << ", \"iters\": " << e2e_iters
+       << ", \"wall_ms\": " << bd.wall_ms
        << ", \"matmul_ms\": " << bd.matmul_ms
        << ", \"matmul_calls\": " << bd.matmul_calls
        << ", \"eltwise_ms\": " << bd.eltwise_ms

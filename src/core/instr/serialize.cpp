@@ -1,6 +1,7 @@
 #include "core/instr/serialize.h"
 
 #include <array>
+#include <cstdint>
 #include <istream>
 #include <sstream>
 
@@ -77,9 +78,17 @@ InstructionProgram load_program(std::istream& in) {
             "invalid num_backbones");
     std::getline(in, line);  // Consume the trailing newline.
   }
-  program.preamble.resize(program.group_size);
-  program.per_device.resize(program.group_size);
-  for (int section = 0; section < 2 * program.group_size; ++section) {
+  // group_size comes from the input, so nothing is sized by it until the
+  // input has backed it: sections are collected as they are read, and the
+  // per-device tables are built only once all 2 * group_size arrived.
+  struct Section {
+    int dev;
+    bool steady;
+    std::vector<Instruction> instructions;
+  };
+  std::vector<Section> sections;
+  const std::int64_t num_sections = 2 * std::int64_t{program.group_size};
+  for (std::int64_t section = 0; section < num_sections; ++section) {
     require(static_cast<bool>(std::getline(in, line)),
             "truncated program: missing device section");
     std::istringstream header(line);
@@ -90,14 +99,23 @@ InstructionProgram load_program(std::istream& in) {
     require(tag == "device" && dev >= 0 && dev < program.group_size &&
                 (phase == "preamble" || phase == "steady"),
             "malformed device section header: " + line);
-    std::vector<Instruction>& target =
-        phase == "preamble" ? program.preamble[dev] : program.per_device[dev];
-    require(target.empty(), "duplicate device section: " + line);
+    Section& target =
+        sections.emplace_back(Section{dev, phase == "steady", {}});
     for (std::size_t n = 0; n < count; ++n) {
       require(static_cast<bool>(std::getline(in, line)),
               "truncated program: missing instruction");
-      target.push_back(parse_instruction(line));
+      target.instructions.push_back(parse_instruction(line));
     }
+  }
+  program.preamble.resize(program.group_size);
+  program.per_device.resize(program.group_size);
+  for (Section& section : sections) {
+    std::vector<Instruction>& target = section.steady
+                                           ? program.per_device[section.dev]
+                                           : program.preamble[section.dev];
+    require(target.empty(), "duplicate device section: device " +
+                                std::to_string(section.dev));
+    target = std::move(section.instructions);
   }
   return program;
 }

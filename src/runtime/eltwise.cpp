@@ -133,7 +133,7 @@ void run_blocks(std::int64_t n, std::int64_t bytes_per_elem, const Fn& fn) {
   const int num_tasks =
       static_cast<int>((n + kEltwiseBlock - 1) / kEltwiseBlock);
   detail::intraop_for_each_task(
-      num_tasks, n * bytes_per_elem, /*want_parallel=*/true, [&](int t) {
+      num_tasks, n * bytes_per_elem, [&](int t) {
         const std::int64_t start = static_cast<std::int64_t>(t) *
                                    kEltwiseBlock;
         fn(start, std::min(kEltwiseBlock, n - start));
@@ -250,8 +250,7 @@ void bias_add_inplace(Tensor& y, const Tensor& bias) {
   constexpr int kRowBlock = 256;
   const int num_tasks = (rows + kRowBlock - 1) / kRowBlock;
   detail::intraop_for_each_task(
-      num_tasks, static_cast<std::int64_t>(rows) * cols * 8,
-      /*want_parallel=*/true, [&](int t) {
+      num_tasks, static_cast<std::int64_t>(rows) * cols * 8, [&](int t) {
         const int r0 = t * kRowBlock;
         const int r1 = std::min(r0 + kRowBlock, rows);
         ek.bias_add(y.data() + static_cast<std::ptrdiff_t>(r0) * cols, cols,

@@ -1,10 +1,10 @@
 // AVX2 elementwise/optimizer kernels. Like kernels_avx2.cpp this is one of
-// the only TUs compiled with -mavx2 -mfma (CMake option
-// DPIPE_NATIVE_KERNELS) and it is entered only after the runtime CPUID
-// dispatch confirmed hardware support.
+// the only TUs compiled with -mavx2 (CMake option DPIPE_NATIVE_KERNELS) and
+// it is entered only after the runtime CPUID dispatch confirmed hardware
+// support.
 //
 // Also compiled with -ffp-contract=off, and no kernel here uses an FMA
-// intrinsic: every multiply and add is rounded separately so each vector
+// instruction: every multiply and add is rounded separately so each vector
 // lane reproduces the scalar kernel's per-element op chain bit-for-bit
 // (eltwise_impl.h spells out the contract). Scalar tail loops reuse the
 // same static-inline helpers the portable TU compiles, which the base ISA

@@ -22,14 +22,13 @@
 
 namespace dpipe::rt::detail {
 
-/// Runs fn(t) for every task t in [0, num_tasks) on the executor when
-/// want_parallel is set and the work (`cost`: FLOPs or bytes moved) is at
-/// least kParallelCostThreshold; otherwise inline, in ascending order.
+/// Runs fn(t) for every task t in [0, num_tasks) on the executor when the
+/// work (`cost`: FLOPs or bytes moved) is at least kParallelCostThreshold;
+/// otherwise inline, in ascending order.
 template <typename Fn>
-void intraop_for_each_task(int num_tasks, std::int64_t cost,
-                           bool want_parallel, const Fn& fn) {
+void intraop_for_each_task(int num_tasks, std::int64_t cost, const Fn& fn) {
   parallel_for(static_cast<std::size_t>(num_tasks),
-               want_parallel && cost >= kParallelCostThreshold ? 0 : 1,
+               cost >= kParallelCostThreshold ? 0 : 1,
                [&](std::size_t t) { fn(static_cast<int>(t)); });
 }
 

@@ -30,11 +30,6 @@ using detail::Microkernels;
 constexpr int kParRowBlock = 10 * kRowTile;  ///< 60 output rows per task.
 constexpr int kParColGroup = 4;              ///< Packed panels per task.
 
-/// Work below this many FLOPs runs single-threaded even in the parallel
-/// modes; the threshold depends only on the shape, so the dispatch decision
-/// is deterministic.
-constexpr std::int64_t kParallelFlopThreshold = 1 << 20;
-
 /// Cache block over the shared dimension: a packed panel chunk is
 /// kKChunk * 64 bytes (16 KiB), so chunk + register-tile A rows + output
 /// tile stay L1-resident even when kk itself is large. Chains split at
@@ -58,21 +53,17 @@ constexpr std::int64_t kPackAThreshold = 16 * 1024;
 /// most of every packed lane. Shape-only gate, so dispatch stays
 /// deterministic; the slim kernels keep the exact ascending chains (see
 /// kernels_impl.h), so results are bit-identical to the packed path on
-/// every SIMD level. kFast shares the gate and the slim kernels —
-/// FMA has nothing to win at these sizes, and routing kFast through the
-/// same code guarantees it is never slower than the exact modes on the
-/// shapes that used to lose to packing overhead.
+/// every SIMD level.
 constexpr std::int64_t kSlimFlopThreshold = 1 << 14;
 
-std::atomic<KernelMode> g_mode{KernelMode::kBlockedParallel};
+std::atomic<KernelMode> g_mode{KernelMode::kBlocked};
 
 // --- Scalar packed microkernel (portable fallback) -----------------------
 // Same panel layout and accumulation chains as the AVX2 TU: lanes are
 // panel-local columns, each chain runs over p ascending with separate
 // multiply/add roundings. The base build carries no FMA instructions, so
 // the compiler cannot contract the pair; auto-vectorization only widens
-// lanes, which does not touch any chain. tile_fast is the same code —
-// "fast" only differs where FMA hardware is in play.
+// lanes, which does not touch any chain.
 
 template <int ROWS>
 void scalar_rows_x_panel(float* out, int ldout, const float* a,
@@ -133,14 +124,6 @@ const Microkernels& active_microkernels() {
   return detail::scalar_microkernels();
 }
 
-// The intra-op fan-out lives in intraop.h (shared with the eltwise engine);
-// for_each_task below is a thin alias that keeps the call sites readable.
-template <typename Fn>
-void for_each_task(int num_tasks, std::int64_t flops, bool want_parallel,
-                   const Fn& fn) {
-  detail::intraop_for_each_task(num_tasks, flops, want_parallel, fn);
-}
-
 /// Accumulates wall time into the matmul bucket of the runtime op profile
 /// when profiling is on.
 class MatmulTimer {
@@ -194,12 +177,11 @@ void scalar_epilogue(float* out, int ldout, float* act, std::ptrdiff_t ldact,
 // --- Slim small-shape kernels (portable fallback) ------------------------
 // No packing, no TensorPool traffic, no task grid: plain stride-addressed
 // loops, dispatched through the Microkernels table like the tiles (the
-// AVX2 TU lane-parallelizes output columns). Every mode including kFast
-// shares one table entry per variant, so cross-mode bit-equality on slim
-// shapes needs only the per-level contract: each output element is one
-// ascending accumulation over p with the multiply and add rounded
-// separately (no FMA exists in the base ISA, and the AVX2 slim kernels
-// use none).
+// AVX2 TU lane-parallelizes output columns). Bit-equality with the packed
+// path and across levels needs only the per-level contract: each output
+// element is one ascending accumulation over p with the multiply and add
+// rounded separately (no FMA exists in the base ISA, and the AVX2 slim
+// kernels use none).
 
 /// b row-major [kk, n]: accumulate in the output row (seeded 0), sweeping p
 /// outer / j inner so b rows stream once per output row.
@@ -311,49 +293,42 @@ void pack_a_chunk(float* packed, const float* a, std::ptrdiff_t ars,
 
 /// Shared driver for all three transpose variants: a(i, p) is addressed via
 /// the two strides, b is packed (transposing if b_transposed), and the 2-D
-/// task grid fans out in the parallel modes. `ep` (nullable) is the fused
-/// bias/activation epilogue, applied per output region as it finishes.
+/// task grid fans out over the executor once the work clears
+/// kParallelCostThreshold. `ep` (nullable) is the fused bias/activation
+/// epilogue, applied per output region as it finishes.
 void packed_matmul(Tensor& out, const float* a, std::ptrdiff_t a_row_stride,
                    std::ptrdiff_t a_col_stride, const float* b,
-                   bool b_transposed, int rows, int kk, int n, KernelMode mode,
+                   bool b_transposed, int rows, int kk, int n,
                    const detail::EpilogueArgs* ep) {
   if (rows == 0 || n == 0) {
     return;
   }
   const Microkernels& mk = active_microkernels();
-  float* out_data_early = out.data();
+  float* out_data = out.data();
   if (kk == 0) {
-    std::fill(out_data_early, out_data_early + out.numel(), 0.0f);
+    std::fill(out_data, out_data + out.numel(), 0.0f);
     if (ep != nullptr) {
-      mk.epilogue(out_data_early, n, ep->act, ep->ldact, ep->bias, 0, rows, 0,
-                  n);
+      mk.epilogue(out_data, n, ep->act, ep->ldact, ep->bias, 0, rows, 0, n);
     }
     return;
   }
-  const std::int64_t slim_flops = 2LL * rows * kk * n;
-  if (n < kPanelWidth || slim_flops <= kSlimFlopThreshold) {
+  const std::int64_t flops = 2LL * rows * kk * n;
+  if (n < kPanelWidth || flops <= kSlimFlopThreshold) {
     if (b_transposed) {
-      mk.slim_transposed(out_data_early, a, a_row_stride, a_col_stride, b,
-                         rows, kk, n);
+      mk.slim_transposed(out_data, a, a_row_stride, a_col_stride, b, rows,
+                         kk, n);
     } else {
-      mk.slim_row_major(out_data_early, a, a_row_stride, a_col_stride, b,
-                        rows, kk, n);
+      mk.slim_row_major(out_data, a, a_row_stride, a_col_stride, b, rows, kk,
+                        n);
     }
     if (ep != nullptr) {
-      mk.epilogue(out_data_early, n, ep->act, ep->ldact, ep->bias, 0, rows, 0,
-                  n);
+      mk.epilogue(out_data, n, ep->act, ep->ldact, ep->bias, 0, rows, 0, n);
     }
     return;
   }
-  const auto tile = mode == KernelMode::kFast ? mk.tile_fast : mk.tile;
-
   const int panels = (n + kPanelWidth - 1) / kPanelWidth;
   const int row_blocks = (rows + kParRowBlock - 1) / kParRowBlock;
   const int col_groups = (panels + kParColGroup - 1) / kParColGroup;
-  const std::int64_t flops = 2LL * rows * kk * n;
-  const bool want_parallel =
-      mode == KernelMode::kBlockedParallel || mode == KernelMode::kFast;
-  float* out_data = out.data();
 
   TensorPool& pool = TensorPool::global();
   const int kc_max = std::min(kk, kKChunk);
@@ -385,7 +360,7 @@ void packed_matmul(Tensor& out, const float* a, std::ptrdiff_t a_row_stride,
       acs = 1;
     }
     const bool last_chunk = p0 + kc >= kk;
-    for_each_task(row_blocks * col_groups, flops, want_parallel, [&](int t) {
+    detail::intraop_for_each_task(row_blocks * col_groups, flops, [&](int t) {
       const int rb = t / col_groups;
       const int cg = t % col_groups;
       const int i0 = rb * kParRowBlock;
@@ -394,9 +369,9 @@ void packed_matmul(Tensor& out, const float* a, std::ptrdiff_t a_row_stride,
       for (int jp = cg * kParColGroup; jp < jp_end; ++jp) {
         const int j0 = jp * kPanelWidth;
         const int valid = std::min(kPanelWidth, n - j0);
-        tile(out_data, n, a_chunk, ars, acs,
-             panel_base + static_cast<std::ptrdiff_t>(jp) * kc * kPanelWidth,
-             kc, i0, i1, j0, valid, accumulate);
+        mk.tile(out_data, n, a_chunk, ars, acs,
+                panel_base + static_cast<std::ptrdiff_t>(jp) * kc * kPanelWidth,
+                kc, i0, i1, j0, valid, accumulate);
         if (last_chunk && ep != nullptr) {
           // The region's chains are complete and the tile is still L1-hot:
           // fuse the bias/activation pass here instead of a fresh sweep.
@@ -467,9 +442,8 @@ void nt_naive(Tensor& out, const Tensor& a, const Tensor& b) {
 namespace detail {
 
 const Microkernels& scalar_microkernels() {
-  static const Microkernels kernels{"scalar",          &scalar_tile,
-                                    &scalar_tile,      &scalar_epilogue,
-                                    &slim_row_major,   &slim_transposed};
+  static const Microkernels kernels{"scalar", &scalar_tile, &scalar_epilogue,
+                                    &slim_row_major, &slim_transposed};
   return kernels;
 }
 
@@ -481,10 +455,6 @@ const char* kernel_mode_name(KernelMode mode) {
       return "naive";
     case KernelMode::kBlocked:
       return "blocked";
-    case KernelMode::kBlockedParallel:
-      return "blocked_parallel";
-    case KernelMode::kFast:
-      return "fast";
   }
   return "?";
 }
@@ -532,7 +502,7 @@ void matmul_into(Tensor& out, const Tensor& a, const Tensor& b,
     return;
   }
   packed_matmul(out, a.data(), k, 1, b.data(), /*b_transposed=*/false, m, k,
-                n, mode, fused ? &ep : nullptr);
+                n, fused ? &ep : nullptr);
 }
 
 void matmul_into(Tensor& out, const Tensor& a, const Tensor& b,
@@ -555,7 +525,7 @@ void matmul_tn_into(Tensor& out, const Tensor& a, const Tensor& b,
   // out[i][j] = sum over the shared row index m of a[m][i] * b[m][j]:
   // a(i, p) = a[p * k + i].
   packed_matmul(out, a.data(), 1, k, b.data(), /*b_transposed=*/false, k, m,
-                n, mode, nullptr);
+                n, nullptr);
 }
 
 void matmul_nt_into(Tensor& out, const Tensor& a, const Tensor& b,
@@ -571,7 +541,7 @@ void matmul_nt_into(Tensor& out, const Tensor& a, const Tensor& b,
     return;
   }
   packed_matmul(out, a.data(), k, 1, b.data(), /*b_transposed=*/true, m, k,
-                n, mode, nullptr);
+                n, nullptr);
 }
 
 void matmul_into(Tensor& out, const Tensor& a, const Tensor& b) {
@@ -586,9 +556,8 @@ void matmul_nt_into(Tensor& out, const Tensor& a, const Tensor& b) {
   matmul_nt_into(out, a, b, kernel_mode());
 }
 
-double measured_peak_gflops(KernelMode mode) {
+double measured_peak_gflops() {
   const Microkernels& mk = active_microkernels();
-  const auto tile = mode == KernelMode::kFast ? mk.tile_fast : mk.tile;
   // L1-resident problem: a 24x128 A block (12 KiB), one packed panel
   // (8 KiB), a 24x16 output tile — the register tile's issue rate is the
   // only bottleneck, which is the compute roofline the bench report
@@ -614,8 +583,8 @@ double measured_peak_gflops(KernelMode mode) {
   for (int rep = 0; rep < kReps; ++rep) {  // Rep 0 is the warm-up.
     const auto start = std::chrono::steady_clock::now();
     for (int c = 0; c < kCallsPerRep; ++c) {
-      tile(out.data(), kPanelWidth, a.data(), kK, 1, panel.data(), kK, 0,
-           kRows, 0, kPanelWidth, /*accumulate=*/false);
+      mk.tile(out.data(), kPanelWidth, a.data(), kK, 1, panel.data(), kK, 0,
+              kRows, 0, kPanelWidth, /*accumulate=*/false);
     }
     const double seconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() -

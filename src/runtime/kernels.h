@@ -8,30 +8,23 @@ namespace dpipe::rt {
 
 /// Which matmul implementation the runtime dispatches to.
 ///
-/// Exactness contract (DESIGN.md §11): in kNaive, kBlocked, and
-/// kBlockedParallel every output element is a single accumulation chain
-/// over the inner dimension in ascending order, seeded from 0.0f, with the
-/// multiply and the add rounded separately. Packing, vector lanes, register
-/// tiles, and the 2-D parallel fan-out reorder *memory traffic* only, never
-/// the floating-point reduction — so those three modes are bit-identical to
-/// each other, across thread counts, and across SIMD levels
-/// (DPIPE_SIMD=scalar|avx2).
-///
-/// kFast is the explicit opt-out: it keeps the ascending chain (results are
-/// still deterministic for a fixed SIMD level and independent of thread
-/// count) but allows fused multiply-add contraction, so results differ from
-/// the exact modes — and across SIMD levels — at the rounding level.
-/// Validate kFast trajectories for closeness, not bit-equality.
+/// Exactness contract (DESIGN.md §11): in both modes every output element
+/// is a single accumulation chain over the inner dimension in ascending
+/// order, seeded from 0.0f, with the multiply and the add rounded
+/// separately. Packing, vector lanes, register tiles, and the 2-D parallel
+/// fan-out reorder *memory traffic* only, never the floating-point
+/// reduction — so the two modes are bit-identical to each other, across
+/// executor widths, and across SIMD levels (DPIPE_SIMD=scalar|avx2).
 enum class KernelMode {
-  kNaive,            ///< Bounds-checked triple loop (the pre-substrate code).
-  kBlocked,          ///< Packed SIMD microkernels, single-threaded, exact.
-  kBlockedParallel,  ///< kBlocked + 2-D (row-block x panel-group) fan-out.
-  kFast,             ///< Parallel packed microkernels with FMA contraction.
+  kNaive,    ///< Bounds-checked triple loop: the test reference.
+  /// Packed SIMD microkernels; work of at least kParallelCostThreshold
+  /// FLOPs fans out over the executor in a (row-block x panel-group) grid.
+  kBlocked,
 };
 
 [[nodiscard]] const char* kernel_mode_name(KernelMode mode);
 
-/// Process-wide dispatch mode (default kBlockedParallel).
+/// Process-wide dispatch mode (default kBlocked).
 [[nodiscard]] KernelMode kernel_mode();
 void set_kernel_mode(KernelMode mode);
 
@@ -83,10 +76,8 @@ void matmul_nt_into(Tensor& out, const Tensor& a, const Tensor& b,
 /// Measured single-thread compute-roofline estimate for the packed
 /// microkernels at the current SIMD level: best GFLOP/s of the register
 /// tile over an L1-resident problem (no packing, no memory traffic beyond
-/// cache). `mode` selects the exact (mul+add) or kFast (FMA) inner loop;
-/// kNaive/kBlocked/kBlockedParallel all report the exact ceiling. Used by
-/// bench_runtime_kernels' roofline report.
-[[nodiscard]] double measured_peak_gflops(KernelMode mode);
+/// cache). Used by bench_runtime_kernels' roofline report.
+[[nodiscard]] double measured_peak_gflops();
 
 // --- Runtime op profiler --------------------------------------------------
 // Process-wide wall-time accounting split into matmul vs elementwise

@@ -1,13 +1,12 @@
-// AVX2+FMA packed microkernels. This is the only translation unit compiled
-// with -mavx2 -mfma (CMake option DPIPE_NATIVE_KERNELS); it is entered only
-// after the runtime CPUID dispatch in kernels.cpp confirmed hardware
-// support, so no other TU ever executes AVX2 instructions.
+// AVX2 packed microkernels. Together with eltwise_avx2.cpp this is the
+// only code compiled with -mavx2 (CMake option DPIPE_NATIVE_KERNELS); it is
+// entered only after the runtime CPUID dispatch in kernels.cpp confirmed
+// hardware support, so no other TU ever executes AVX2 instructions.
 //
-// The TU is also compiled with -ffp-contract=off: the exact microkernel
-// must round the multiply and the add separately (matching the scalar
-// fallback bit-for-bit), so the compiler must not quietly contract the
-// _mm256_mul_ps/_mm256_add_ps pair into an FMA. KernelMode::kFast opts into
-// contraction explicitly via _mm256_fmadd_ps.
+// The TU is also compiled with -ffp-contract=off: every microkernel rounds
+// the multiply and the add separately (matching the scalar fallback
+// bit-for-bit), so the compiler must not contract a
+// _mm256_mul_ps/_mm256_add_ps pair into an FMA.
 
 #include <immintrin.h>
 
@@ -25,7 +24,7 @@ namespace {
 /// accumulator registers across the whole shared dimension — each output
 /// element is one uninterrupted chain over p ascending, seeded from the
 /// stored partial sum when a k-chunked driver passes accumulate.
-template <int ROWS, bool kUseFma>
+template <int ROWS>
 void rows_x_panel(float* out, int ldout, const float* a,
                   std::ptrdiff_t a_row_stride, std::ptrdiff_t a_col_stride,
                   const float* panel, int kk, int i, int j0, int valid_cols,
@@ -63,13 +62,8 @@ void rows_x_panel(float* out, int ldout, const float* a,
                       static_cast<std::ptrdiff_t>(p) * a_col_stride;
     for (int r = 0; r < ROWS; ++r) {
       const __m256 av = _mm256_set1_ps(ap[r * a_row_stride]);
-      if constexpr (kUseFma) {
-        acc_lo[r] = _mm256_fmadd_ps(av, b_lo, acc_lo[r]);
-        acc_hi[r] = _mm256_fmadd_ps(av, b_hi, acc_hi[r]);
-      } else {
-        acc_lo[r] = _mm256_add_ps(acc_lo[r], _mm256_mul_ps(av, b_lo));
-        acc_hi[r] = _mm256_add_ps(acc_hi[r], _mm256_mul_ps(av, b_hi));
-      }
+      acc_lo[r] = _mm256_add_ps(acc_lo[r], _mm256_mul_ps(av, b_lo));
+      acc_hi[r] = _mm256_add_ps(acc_hi[r], _mm256_mul_ps(av, b_hi));
     }
   }
   for (int r = 0; r < ROWS; ++r) {
@@ -87,38 +81,36 @@ void rows_x_panel(float* out, int ldout, const float* a,
   }
 }
 
-template <bool kUseFma>
-void tile_impl(float* out, int ldout, const float* a,
+void avx2_tile(float* out, int ldout, const float* a,
                std::ptrdiff_t a_row_stride, std::ptrdiff_t a_col_stride,
                const float* panel, int kk, int i0, int i1, int j0,
                int valid_cols, bool accumulate) {
   int i = i0;
   for (; i + kRowTile <= i1; i += kRowTile) {
-    rows_x_panel<kRowTile, kUseFma>(out, ldout, a, a_row_stride,
-                                    a_col_stride, panel, kk, i, j0,
-                                    valid_cols, accumulate);
+    rows_x_panel<kRowTile>(out, ldout, a, a_row_stride, a_col_stride, panel,
+                           kk, i, j0, valid_cols, accumulate);
   }
   // Remainder rows still get a register tile of their exact height.
   switch (i1 - i) {
     case 5:
-      rows_x_panel<5, kUseFma>(out, ldout, a, a_row_stride, a_col_stride,
-                               panel, kk, i, j0, valid_cols, accumulate);
+      rows_x_panel<5>(out, ldout, a, a_row_stride, a_col_stride, panel, kk,
+                      i, j0, valid_cols, accumulate);
       break;
     case 4:
-      rows_x_panel<4, kUseFma>(out, ldout, a, a_row_stride, a_col_stride,
-                               panel, kk, i, j0, valid_cols, accumulate);
+      rows_x_panel<4>(out, ldout, a, a_row_stride, a_col_stride, panel, kk,
+                      i, j0, valid_cols, accumulate);
       break;
     case 3:
-      rows_x_panel<3, kUseFma>(out, ldout, a, a_row_stride, a_col_stride,
-                               panel, kk, i, j0, valid_cols, accumulate);
+      rows_x_panel<3>(out, ldout, a, a_row_stride, a_col_stride, panel, kk,
+                      i, j0, valid_cols, accumulate);
       break;
     case 2:
-      rows_x_panel<2, kUseFma>(out, ldout, a, a_row_stride, a_col_stride,
-                               panel, kk, i, j0, valid_cols, accumulate);
+      rows_x_panel<2>(out, ldout, a, a_row_stride, a_col_stride, panel, kk,
+                      i, j0, valid_cols, accumulate);
       break;
     case 1:
-      rows_x_panel<1, kUseFma>(out, ldout, a, a_row_stride, a_col_stride,
-                               panel, kk, i, j0, valid_cols, accumulate);
+      rows_x_panel<1>(out, ldout, a, a_row_stride, a_col_stride, panel, kk,
+                      i, j0, valid_cols, accumulate);
       break;
     default:
       break;
@@ -160,9 +152,7 @@ void avx2_epilogue(float* out, int ldout, float* act, std::ptrdiff_t ldact,
 // --- Slim small-shape kernels (kernels_impl.h contract) -------------------
 // Lane parallelism groups output COLUMNS only: each output element keeps
 // its own ascending chain over p with _mm256_mul_ps/_mm256_add_ps rounded
-// separately (never FMA — the driver shares the slim entries across all
-// modes including kFast), so results match the scalar slim kernels
-// bit-for-bit.
+// separately, so results match the scalar slim kernels bit-for-bit.
 
 /// ROWS output rows x 8 columns held in registers across the whole shared
 /// dimension; the b vector load is shared by every row's broadcast-mul.
@@ -258,9 +248,9 @@ void avx2_slim_transposed(float* out, const float* a, std::ptrdiff_t ars,
 }  // namespace
 
 const Microkernels& avx2_microkernels() {
-  static const Microkernels kernels{
-      "avx2",           &tile_impl<false>,     &tile_impl<true>,
-      &avx2_epilogue,   &avx2_slim_row_major,  &avx2_slim_transposed};
+  static const Microkernels kernels{"avx2", &avx2_tile, &avx2_epilogue,
+                                    &avx2_slim_row_major,
+                                    &avx2_slim_transposed};
   return kernels;
 }
 

@@ -17,10 +17,8 @@
 // a separate rounding for the multiply and the add — exactly the chain the
 // naive triple loop produces. Implementations may reorder *which* elements
 // advance together (vector lanes, register tiles) but never the chain
-// itself, so every ISA level is bit-identical in the exact kernel modes.
-// tile_fast() relaxes only multiply-add contraction (FMA): still one
-// ascending chain per element — deterministic for a given ISA level and
-// independent of thread count — but not bit-equal across levels.
+// itself, so every ISA level is bit-identical in every kernel mode. No
+// microkernel contracts a multiply-add pair into an FMA.
 //
 // When the driver cache-blocks a long shared dimension it splits the chain
 // at fixed chunk boundaries and passes accumulate=true for every chunk but
@@ -59,11 +57,6 @@ struct Microkernels {
                std::ptrdiff_t a_row_stride, std::ptrdiff_t a_col_stride,
                const float* panel, int kk, int i0, int i1, int j0,
                int valid_cols, bool accumulate);
-  /// Same contract, FMA contraction allowed (KernelMode::kFast).
-  void (*tile_fast)(float* out, int ldout, const float* a,
-                    std::ptrdiff_t a_row_stride, std::ptrdiff_t a_col_stride,
-                    const float* panel, int kk, int i0, int i1, int j0,
-                    int valid_cols, bool accumulate);
   /// Fused bias/activation epilogue, applied by the driver to the output
   /// region rows [i0, i1) x columns [j0, j0 + valid_cols) right after that
   /// region's final k-chunk, while it is cache-hot. For each element
@@ -80,11 +73,9 @@ struct Microkernels {
   /// grid — the driver routes shapes below its slim gate here). Computes
   /// out[i * n + j] = sum over p ascending of
   ///   a[i * ars + p * acs] * b[p * n + j]
-  /// seeded 0.0f, multiply and add rounded separately (no FMA even in
-  /// kFast — the driver shares this kernel across all modes, which is what
-  /// makes kFast bit-equal to the exact modes on slim shapes). Lane
-  /// parallelism may only group different output elements; each element's
-  /// chain stays ascending, so ISA levels are bit-identical.
+  /// seeded 0.0f, multiply and add rounded separately. Lane parallelism
+  /// may only group different output elements; each element's chain stays
+  /// ascending, so ISA levels are bit-identical.
   void (*slim_row_major)(float* out, const float* a, std::ptrdiff_t ars,
                          std::ptrdiff_t acs, const float* b, int rows, int kk,
                          int n);
@@ -100,7 +91,7 @@ struct Microkernels {
 [[nodiscard]] const Microkernels& scalar_microkernels();
 
 #if defined(DPIPE_HAVE_AVX2_TU)
-/// AVX2+FMA microkernels; present only when CMake compiled the native TU.
+/// AVX2 microkernels; present only when CMake compiled the native TU.
 /// Call only when cpu_supports_avx2() — the TU contains AVX2 instructions.
 [[nodiscard]] const Microkernels& avx2_microkernels();
 #endif

@@ -31,7 +31,7 @@ SimdLevel resolve_from_env() {
                   "(DPIPE_NATIVE_KERNELS was off or the toolchain lacks "
                   "-mavx2)");
     DPIPE_REQUIRE(cpu_supports_avx2(),
-                  "DPIPE_SIMD=avx2 but this CPU does not report AVX2+FMA");
+                  "DPIPE_SIMD=avx2 but this CPU does not report AVX2");
     return SimdLevel::kAvx2;
   }
   DPIPE_REQUIRE(false, std::string("unknown DPIPE_SIMD value '") + env +
@@ -43,7 +43,7 @@ SimdLevel resolve_from_env() {
 
 bool cpu_supports_avx2() {
 #if defined(__x86_64__) || defined(_M_X64) || defined(__i386__)
-  return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
+  return __builtin_cpu_supports("avx2");
 #else
   return false;
 #endif

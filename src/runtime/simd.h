@@ -8,15 +8,14 @@ namespace dpipe::rt {
 /// decided per process from CPUID + the DPIPE_SIMD environment variable —
 /// so one binary runs correctly on any x86-64 machine.
 ///
-/// Exactness contract: in the exact kernel modes (kBlocked,
-/// kBlockedParallel) every SIMD level produces bit-identical results — the
-/// vector lanes are distinct output columns and each output element keeps
-/// the single ascending inner-dimension accumulation chain, so the level
-/// only changes how many columns advance per instruction. KernelMode::kFast
-/// results may differ across levels (FMA contraction).
+/// Exactness contract: every SIMD level produces bit-identical results —
+/// the vector lanes are distinct output columns and each output element
+/// keeps the single ascending inner-dimension accumulation chain, with the
+/// multiply and the add rounded separately, so the level only changes how
+/// many columns advance per instruction.
 enum class SimdLevel {
   kScalar,  ///< Portable fallback (compiled with the base ISA).
-  kAvx2,    ///< AVX2 + FMA microkernels (requires CPU and build support).
+  kAvx2,    ///< AVX2 microkernels (requires CPU and build support).
 };
 
 /// The level the dispatcher currently resolves to. Initialized lazily from
@@ -31,7 +30,7 @@ void set_simd_level(SimdLevel level);
 /// Best level supported by both this CPU and this build.
 [[nodiscard]] SimdLevel detected_simd_level();
 
-/// True when the running CPU reports AVX2+FMA support.
+/// True when the running CPU reports AVX2 support.
 [[nodiscard]] bool cpu_supports_avx2();
 
 /// True when the binary contains the AVX2 microkernel translation unit

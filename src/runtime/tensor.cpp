@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "runtime/kernels.h"
-
 namespace dpipe::rt {
 
 namespace {
@@ -100,89 +98,6 @@ Tensor Rng::randn(std::vector<int> shape, float scale) {
     t.data()[i] = normal() * scale;
   }
   return t;
-}
-
-Tensor add(const Tensor& a, const Tensor& b) {
-  check_same_shape(a, b);
-  Tensor out(a.shape());
-  for (std::int64_t i = 0; i < a.numel(); ++i) {
-    out.data()[i] = a.data()[i] + b.data()[i];
-  }
-  return out;
-}
-
-Tensor sub(const Tensor& a, const Tensor& b) {
-  check_same_shape(a, b);
-  Tensor out(a.shape());
-  sub_into(out, a, b);
-  return out;
-}
-
-Tensor mul(const Tensor& a, const Tensor& b) {
-  check_same_shape(a, b);
-  Tensor out(a.shape());
-  for (std::int64_t i = 0; i < a.numel(); ++i) {
-    out.data()[i] = a.data()[i] * b.data()[i];
-  }
-  return out;
-}
-
-Tensor scale(const Tensor& a, float s) {
-  Tensor out(a.shape());
-  for (std::int64_t i = 0; i < a.numel(); ++i) {
-    out.data()[i] = a.data()[i] * s;
-  }
-  return out;
-}
-
-Tensor matmul(const Tensor& a, const Tensor& b) {
-  Tensor out({a.rows(), b.cols()});
-  matmul_into(out, a, b);
-  return out;
-}
-
-Tensor matmul_tn(const Tensor& a, const Tensor& b) {
-  Tensor out({a.cols(), b.cols()});
-  matmul_tn_into(out, a, b);
-  return out;
-}
-
-Tensor matmul_nt(const Tensor& a, const Tensor& b) {
-  Tensor out({a.rows(), b.rows()});
-  matmul_nt_into(out, a, b);
-  return out;
-}
-
-Tensor concat_cols(const Tensor& a, const Tensor& b) {
-  DPIPE_REQUIRE(a.rows() == b.rows(), "concat_cols row mismatch");
-  Tensor out({a.rows(), a.cols() + b.cols()});
-  const int ac = a.cols();
-  const int bc = b.cols();
-  for (int i = 0; i < a.rows(); ++i) {
-    float* row = out.data() + static_cast<std::ptrdiff_t>(i) * (ac + bc);
-    std::copy(a.data() + static_cast<std::ptrdiff_t>(i) * ac,
-              a.data() + static_cast<std::ptrdiff_t>(i + 1) * ac, row);
-    std::copy(b.data() + static_cast<std::ptrdiff_t>(i) * bc,
-              b.data() + static_cast<std::ptrdiff_t>(i + 1) * bc, row + ac);
-  }
-  return out;
-}
-
-Tensor concat_rows(const Tensor& a, const Tensor& b) {
-  if (!a.defined() || a.rows() == 0) {
-    return b;
-  }
-  DPIPE_REQUIRE(a.cols() == b.cols(), "concat_rows column mismatch");
-  Tensor out({a.rows() + b.rows(), a.cols()});
-  std::copy(a.data(), a.data() + a.numel(), out.data());
-  std::copy(b.data(), b.data() + b.numel(), out.data() + a.numel());
-  return out;
-}
-
-Tensor sum_rows(const Tensor& a) {
-  Tensor out({1, a.cols()});
-  sum_rows_into(out, a);
-  return out;
 }
 
 float max_abs_diff(const Tensor& a, const Tensor& b) {

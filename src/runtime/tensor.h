@@ -110,23 +110,6 @@ class Rng {
   std::uint64_t state_;
 };
 
-// Element-wise / linear-algebra helpers (shapes must match exactly).
-[[nodiscard]] Tensor add(const Tensor& a, const Tensor& b);
-[[nodiscard]] Tensor sub(const Tensor& a, const Tensor& b);
-[[nodiscard]] Tensor mul(const Tensor& a, const Tensor& b);
-[[nodiscard]] Tensor scale(const Tensor& a, float s);
-/// [m, k] x [k, n] -> [m, n].
-[[nodiscard]] Tensor matmul(const Tensor& a, const Tensor& b);
-/// [m, k]^T x [m, n] -> [k, n] (for weight gradients).
-[[nodiscard]] Tensor matmul_tn(const Tensor& a, const Tensor& b);
-/// [m, k] x [n, k]^T -> [m, n] (for input gradients).
-[[nodiscard]] Tensor matmul_nt(const Tensor& a, const Tensor& b);
-/// Concatenate along columns: [m, a] ++ [m, b] -> [m, a+b].
-[[nodiscard]] Tensor concat_cols(const Tensor& a, const Tensor& b);
-/// Stack along rows: [a, n] ++ [b, n] -> [a+b, n].
-[[nodiscard]] Tensor concat_rows(const Tensor& a, const Tensor& b);
-/// Column-wise sum: [m, n] -> [1, n].
-[[nodiscard]] Tensor sum_rows(const Tensor& a);
 /// max |a - b| over all elements.
 [[nodiscard]] float max_abs_diff(const Tensor& a, const Tensor& b);
 

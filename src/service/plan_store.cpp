@@ -25,17 +25,26 @@ Fingerprint read_fingerprint_line(std::istream& in,
   return Fingerprint::from_hex(hex);
 }
 
-/// Reads a `<keyword> <n>\n` header then exactly n raw bytes.
+/// Reads a `<keyword> <n>\n` header then exactly n raw bytes. The size
+/// comes from the file, so the block grows in bounded chunks as bytes
+/// arrive: a header claiming more than the file holds fails as truncated
+/// instead of allocating the claimed size up front.
 std::string read_sized_block(std::istream& in, const std::string& keyword) {
   expect_keyword(in, keyword);
   std::size_t bytes = 0;
   require(static_cast<bool>(in >> bytes), "malformed " + keyword + " size");
   std::string line;
   std::getline(in, line);  // Consume the header's newline.
-  std::string block(bytes, '\0');
-  in.read(block.data(), static_cast<std::streamsize>(bytes));
-  require(static_cast<std::size_t>(in.gcount()) == bytes,
-          "truncated " + keyword + " block");
+  constexpr std::size_t kChunk = std::size_t{1} << 16;
+  std::string block;
+  while (block.size() < bytes) {
+    const std::size_t have = block.size();
+    const std::size_t want = std::min(kChunk, bytes - have);
+    block.resize(have + want);
+    in.read(block.data() + have, static_cast<std::streamsize>(want));
+    require(static_cast<std::size_t>(in.gcount()) == want,
+            "truncated " + keyword + " block");
+  }
   return block;
 }
 

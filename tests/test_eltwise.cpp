@@ -284,9 +284,9 @@ TEST(EltwiseAdam, FusedMatchesReferenceTrajectoryBitExact) {
 
 TEST(EltwiseSlim, SmallShapesBitExactAcrossAllModes) {
   SimdStateGuard guard;
-  // Shapes under the slim gate (n < 16 or tiny FLOPs): every mode —
-  // including kFast, which shares the slim kernels there — must equal the
-  // naive reference bit-for-bit, at every SIMD level.
+  // Shapes under the slim gate (n < 16 or tiny FLOPs): the blocked mode
+  // must equal the naive reference bit-for-bit, at every SIMD level and
+  // executor width.
   const std::vector<std::array<int, 3>> shapes = {
       {1, 1, 1}, {3, 5, 7}, {4, 12, 32}, {4, 32, 32}, {16, 32, 2},
       {12, 4, 32}, {64, 300, 3}};
@@ -307,17 +307,15 @@ TEST(EltwiseSlim, SmallShapesBitExactAcrossAllModes) {
     matmul_nt_into(ref_nt, a, b_nt, KernelMode::kNaive);
     for (const SimdLevel level : levels) {
       set_simd_level(level);
-      for (const KernelMode mode :
-           {KernelMode::kBlocked, KernelMode::kBlockedParallel,
-            KernelMode::kFast}) {
+      for (const int threads : {1, 4}) {
         SCOPED_TRACE(::testing::Message()
-                     << simd_level_name(level) << "/"
-                     << kernel_mode_name(mode));
+                     << simd_level_name(level) << "/threads=" << threads);
+        set_kernel_threads(threads);
         Tensor out({s[0], s[2]});
-        matmul_into(out, a, b_nn, mode);
+        matmul_into(out, a, b_nn, KernelMode::kBlocked);
         expect_bit_equal(ref, out);
         Tensor out_nt({s[0], s[2]});
-        matmul_nt_into(out_nt, a, b_nt, mode);
+        matmul_nt_into(out_nt, a, b_nt, KernelMode::kBlocked);
         expect_bit_equal(ref_nt, out_nt);
       }
     }
@@ -343,13 +341,15 @@ TEST(EltwiseEpilogue, FusedBiasSiluMatchesUnfusedBitExact) {
     const Tensor bias = rng.randn({1, s[2]});
     for (const SimdLevel level : levels) {
       set_simd_level(level);
-      for (const KernelMode mode :
-           {KernelMode::kNaive, KernelMode::kBlocked,
-            KernelMode::kBlockedParallel, KernelMode::kFast}) {
+      for (const auto& [mode, threads] :
+           {std::pair{KernelMode::kNaive, 1},
+            std::pair{KernelMode::kBlocked, 1},
+            std::pair{KernelMode::kBlocked, 4}}) {
         SCOPED_TRACE(::testing::Message()
                      << "m=" << s[0] << " k=" << s[1] << " n=" << s[2] << " "
                      << simd_level_name(level) << "/"
-                     << kernel_mode_name(mode));
+                     << kernel_mode_name(mode) << "/threads=" << threads);
+        set_kernel_threads(threads);
         // Unfused: matmul, then bias sweep, then silu sweep.
         Tensor z_ref({s[0], s[2]});
         matmul_into(z_ref, a, b, mode);

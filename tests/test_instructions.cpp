@@ -218,6 +218,20 @@ TEST(Serialize, RejectsMalformedInput) {
       std::invalid_argument);
 }
 
+TEST(Serialize, RejectsGroupSizeTheInputCannotBack) {
+  // group_size is read from the input: a huge value followed by a single
+  // device section must fail as truncated instead of sizing per-device
+  // tables for two billion devices up front.
+  EXPECT_THROW((void)program_from_string(
+                   "dpipe-program v1\ngroup_size 2000000000\n"
+                   "num_backbones 1\ndevice 0 preamble 0\n"),
+               std::invalid_argument);
+  EXPECT_THROW((void)program_from_string(
+                   "dpipe-program v1\ngroup_size 2147483647\n"
+                   "num_backbones 1\n"),
+               std::invalid_argument);
+}
+
 TEST(Serialize, RejectsMalformedNumbers) {
   const auto program_with = [](const std::string& instruction) {
     return "dpipe-program v1\ngroup_size 1\nnum_backbones 1\n"

@@ -517,6 +517,37 @@ TEST(PlanStore, HostileNumbersFailWithInvalidArgument) {
   }
 }
 
+TEST(PlanStore, OversizedBlockHeaderFailsWithoutAllocating) {
+  // A size header claiming 2^40 bytes in a file that holds a few hundred:
+  // the reader must fail as truncated (std::invalid_argument) rather than
+  // allocate the claimed size first.
+  std::ostringstream out;
+  save_plan_entry(real_entry(), out);
+  const std::string bytes = out.str();
+  const std::string header =
+      "request_bytes " + std::to_string(real_entry().request_text.size()) +
+      "\n";
+  const std::size_t pos = bytes.find(header);
+  ASSERT_NE(pos, std::string::npos);
+  const std::string hostile = bytes.substr(0, pos) +
+                              "request_bytes 1099511627776\n" +
+                              bytes.substr(pos + header.size(), 200);
+  std::istringstream in(hostile);
+  EXPECT_THROW((void)load_plan_entry(in), std::invalid_argument);
+
+  const std::string dir = scratch_dir("store_oversized_block");
+  PlanStore store(dir);
+  {
+    std::ofstream file(dir + "/" + real_entry().fingerprint.hex() + ".plan",
+                       std::ios::binary | std::ios::trunc);
+    file << hostile;
+  }
+  const PlanStore::LoadReport report = store.load_all();
+  EXPECT_EQ(report.plans.size(), 0u);
+  EXPECT_EQ(report.corrupt_dropped, 1u);
+  EXPECT_EQ(store.size(), 0u);
+}
+
 TEST(PlanStore, InvalidateClusterRemovesMatchingFiles) {
   PlanStore store(scratch_dir("store_invalidate"));
   store.put(real_entry());

@@ -5,19 +5,29 @@
 #include <thread>
 
 #include "runtime/dp_trainer.h"
+#include "runtime/kernels.h"
 #include "runtime/pipeline_exec.h"
 
 namespace dpipe::rt {
 namespace {
 
 TEST(Tensor, BasicOpsAndShapes) {
-  Tensor a = Tensor::full({2, 3}, 2.0f);
-  Tensor b = Tensor::full({2, 3}, 1.5f);
-  EXPECT_FLOAT_EQ(add(a, b).at(0, 0), 3.5f);
-  EXPECT_FLOAT_EQ(sub(a, b).at(1, 2), 0.5f);
-  EXPECT_FLOAT_EQ(mul(a, b).at(0, 1), 3.0f);
-  EXPECT_FLOAT_EQ(scale(a, 0.5f).at(0, 0), 1.0f);
-  EXPECT_THROW(add(a, Tensor::zeros({3, 2})), std::invalid_argument);
+  const Tensor a = Tensor::full({2, 3}, 2.0f);
+  const Tensor b = Tensor::full({2, 3}, 1.5f);
+  Tensor sum = a;
+  add_inplace(sum, b);
+  EXPECT_FLOAT_EQ(sum.at(0, 0), 3.5f);
+  Tensor diff({2, 3});
+  sub_into(diff, a, b);
+  EXPECT_FLOAT_EQ(diff.at(1, 2), 0.5f);
+  Tensor scaled = a;
+  scale_inplace(scaled, 0.5f);
+  EXPECT_FLOAT_EQ(scaled.at(0, 0), 1.0f);
+  Tensor axpy = a;
+  axpy_inplace(axpy, b, 2.0f);
+  EXPECT_FLOAT_EQ(axpy.at(0, 1), 5.0f);
+  Tensor wrong = Tensor::zeros({3, 2});
+  EXPECT_THROW(add_inplace(wrong, a), std::invalid_argument);
 }
 
 TEST(Tensor, MatmulAgainstHandComputed) {
@@ -31,28 +41,35 @@ TEST(Tensor, MatmulAgainstHandComputed) {
   b.at(0, 1) = 6;
   b.at(1, 0) = 7;
   b.at(1, 1) = 8;
-  const Tensor c = matmul(a, b);
+  Tensor c({2, 2});
+  matmul_into(c, a, b);
   EXPECT_FLOAT_EQ(c.at(0, 0), 19);
   EXPECT_FLOAT_EQ(c.at(0, 1), 22);
   EXPECT_FLOAT_EQ(c.at(1, 0), 43);
   EXPECT_FLOAT_EQ(c.at(1, 1), 50);
   // A^T B and A B^T identities against matmul.
-  EXPECT_FLOAT_EQ(matmul_tn(a, b).at(0, 0), 1 * 5 + 3 * 7);
-  EXPECT_FLOAT_EQ(matmul_nt(a, b).at(0, 0), 1 * 5 + 2 * 6);
+  Tensor tn({2, 2});
+  matmul_tn_into(tn, a, b);
+  EXPECT_FLOAT_EQ(tn.at(0, 0), 1 * 5 + 3 * 7);
+  Tensor nt({2, 2});
+  matmul_nt_into(nt, a, b);
+  EXPECT_FLOAT_EQ(nt.at(0, 0), 1 * 5 + 2 * 6);
 }
 
-TEST(Tensor, ConcatAndSlice) {
-  const Tensor a = Tensor::full({2, 2}, 1.0f);
-  const Tensor b = Tensor::full({2, 3}, 2.0f);
-  const Tensor cat = concat_cols(a, b);
-  EXPECT_EQ(cat.cols(), 5);
-  EXPECT_FLOAT_EQ(cat.at(1, 4), 2.0f);
-  const Tensor rows = concat_rows(a, Tensor::full({1, 2}, 3.0f));
-  EXPECT_EQ(rows.rows(), 3);
-  EXPECT_FLOAT_EQ(rows.at(2, 0), 3.0f);
-  const Tensor sl = rows.slice_rows(1, 3);
+TEST(Tensor, SliceRowsAndSumRows) {
+  Tensor t({3, 2});
+  for (int r = 0; r < 3; ++r) {
+    t.at(r, 0) = static_cast<float>(r + 1);
+    t.at(r, 1) = static_cast<float>(10 * (r + 1));
+  }
+  const Tensor sl = t.slice_rows(1, 3);
   EXPECT_EQ(sl.rows(), 2);
-  EXPECT_FLOAT_EQ(sl.at(1, 1), 3.0f);
+  EXPECT_FLOAT_EQ(sl.at(0, 0), 2.0f);
+  EXPECT_FLOAT_EQ(sl.at(1, 1), 30.0f);
+  Tensor col_sum({1, 2});
+  sum_rows_into(col_sum, t);
+  EXPECT_FLOAT_EQ(col_sum.at(0, 0), 6.0f);
+  EXPECT_FLOAT_EQ(col_sum.at(0, 1), 60.0f);
 }
 
 TEST(Rng, Deterministic) {
@@ -76,7 +93,8 @@ TEST(Modules, GradientCheckLinearSilu) {
   const auto loss_value = [&]() {
     Tensor pred = net.forward(x);
     net.drop_context();
-    const Tensor diff = sub(pred, target);
+    Tensor diff(pred.shape());
+    sub_into(diff, pred, target);
     double acc = 0.0;
     for (std::int64_t i = 0; i < diff.numel(); ++i) {
       acc += 0.5 * diff.data()[i] * diff.data()[i];
@@ -86,7 +104,9 @@ TEST(Modules, GradientCheckLinearSilu) {
 
   // Analytic gradients.
   Tensor pred = net.forward(x);
-  (void)net.backward(sub(pred, target));
+  Tensor grad(pred.shape());
+  sub_into(grad, pred, target);
+  (void)net.backward(grad);
   const std::vector<Tensor*> params = net.params();
   const std::vector<Tensor*> grads = net.grads();
   const float eps = 1e-3f;

@@ -1,7 +1,8 @@
-// Kernel substrate tests: bit-exact parity between the naive, blocked, and
-// blocked+parallel matmul paths; TensorPool recycling; the Rng zero-seed
-// regression; and end-to-end training-trajectory bit-identity across kernel
-// modes and thread counts (the determinism contract in DESIGN.md §8).
+// Kernel substrate tests: bit-exact parity between the naive and blocked
+// matmul paths at several executor widths; TensorPool recycling; the Rng
+// zero-seed regression; and end-to-end training-trajectory bit-identity
+// across kernel modes and executor widths (the determinism contract in
+// DESIGN.md §8).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -39,9 +40,10 @@ void expect_bit_equal(const Tensor& a, const Tensor& b) {
             0);
 }
 
-/// Runs all three transpose variants at (m, k, n) under every kernel mode
-/// and executor width and requires bit-identical results. Covers the contract
-/// that blocking and parallel fan-out reorder memory traffic only.
+/// Runs all three transpose variants at (m, k, n) in the blocked mode at
+/// several executor widths and requires results bit-identical to the naive
+/// reference. Covers the contract that blocking and parallel fan-out
+/// reorder memory traffic only.
 void check_parity(int m, int k, int n) {
   SCOPED_TRACE(::testing::Message()
                << "m=" << m << " k=" << k << " n=" << n);
@@ -62,18 +64,15 @@ void check_parity(int m, int k, int n) {
   for (const int threads : {1, 4, 0}) {  // 0 = DPIPE_THREADS / hardware.
     SCOPED_TRACE(::testing::Message() << "threads=" << threads);
     set_kernel_threads(threads);
-    for (const KernelMode mode :
-         {KernelMode::kBlocked, KernelMode::kBlockedParallel}) {
-      Tensor out_nn({m, n});
-      Tensor out_tn({k, n});
-      Tensor out_nt({m, n});
-      matmul_into(out_nn, a, b_nn, mode);
-      matmul_tn_into(out_tn, a, b_tn, mode);
-      matmul_nt_into(out_nt, a, b_nt, mode);
-      expect_bit_equal(ref_nn, out_nn);
-      expect_bit_equal(ref_tn, out_tn);
-      expect_bit_equal(ref_nt, out_nt);
-    }
+    Tensor out_nn({m, n});
+    Tensor out_tn({k, n});
+    Tensor out_nt({m, n});
+    matmul_into(out_nn, a, b_nn, KernelMode::kBlocked);
+    matmul_tn_into(out_tn, a, b_tn, KernelMode::kBlocked);
+    matmul_nt_into(out_nt, a, b_nt, KernelMode::kBlocked);
+    expect_bit_equal(ref_nn, out_nn);
+    expect_bit_equal(ref_tn, out_tn);
+    expect_bit_equal(ref_nt, out_nt);
   }
 }
 
@@ -81,7 +80,7 @@ TEST(Kernels, ParityAcrossModesAndThreadCounts) {
   KernelStateGuard guard;
   // Square, rectangular, tile-boundary straddling, and panel-crossing
   // shapes (kRowBlock=64, kKc=64, kNc=256), plus one past the parallel
-  // flop threshold so kBlockedParallel actually fans out.
+  // flop threshold so kBlocked actually fans out at widths above 1.
   check_parity(1, 1, 1);
   check_parity(2, 3, 4);
   check_parity(64, 64, 64);
@@ -105,9 +104,7 @@ TEST(Kernels, EmptyInnerDimensionZeroesStaleOutput) {
   KernelStateGuard guard;
   const Tensor a = Tensor::zeros({3, 0});
   const Tensor b = Tensor::zeros({0, 2});
-  for (const KernelMode mode :
-       {KernelMode::kNaive, KernelMode::kBlocked,
-        KernelMode::kBlockedParallel}) {
+  for (const KernelMode mode : {KernelMode::kNaive, KernelMode::kBlocked}) {
     Tensor out = Tensor::full({3, 2}, 42.0f);  // Stale contents.
     matmul_into(out, a, b, mode);
     for (std::int64_t i = 0; i < out.numel(); ++i) {
@@ -116,18 +113,21 @@ TEST(Kernels, EmptyInnerDimensionZeroesStaleOutput) {
   }
 }
 
-TEST(Kernels, ValueReturningWrappersMatchIntoForms) {
+TEST(Kernels, DefaultOverloadsFollowKernelMode) {
   KernelStateGuard guard;
+  EXPECT_STREQ(kernel_mode_name(KernelMode::kNaive), "naive");
+  EXPECT_STREQ(kernel_mode_name(KernelMode::kBlocked), "blocked");
   Rng rng(11);
   const Tensor a = rng.randn({9, 33});
   const Tensor b = rng.randn({33, 17});
   Tensor expected({9, 17});
   matmul_into(expected, a, b, KernelMode::kNaive);
-  for (const KernelMode mode :
-       {KernelMode::kNaive, KernelMode::kBlocked,
-        KernelMode::kBlockedParallel}) {
+  for (const KernelMode mode : {KernelMode::kNaive, KernelMode::kBlocked}) {
     set_kernel_mode(mode);
-    expect_bit_equal(expected, matmul(a, b));
+    EXPECT_EQ(kernel_mode(), mode);
+    Tensor out({9, 17});
+    matmul_into(out, a, b);
+    expect_bit_equal(expected, out);
   }
 }
 
@@ -144,7 +144,7 @@ TEST(Kernels, RejectsBadOutputShapeAndAliasing) {
 // --- Concurrent kernel entry (shared executor fan-out) -----------------------
 
 TEST(Kernels, ConcurrentCallersBitExactUnderContention) {
-  // Several threads call kBlockedParallel simultaneously: each fan-out
+  // Several threads call kBlocked simultaneously: each fan-out
   // recruits whichever executor workers are idle at the call, or runs
   // inline when none is. Results must be bit-identical to the
   // single-threaded reference either way. Runs under TSan in tier-1.
@@ -162,7 +162,7 @@ TEST(Kernels, ConcurrentCallersBitExactUnderContention) {
     callers.emplace_back([&, t] {
       Tensor out({kDim, kDim});
       for (int rep = 0; rep < 20; ++rep) {
-        matmul_into(out, a, b, KernelMode::kBlockedParallel);
+        matmul_into(out, a, b, KernelMode::kBlocked);
         if (std::memcmp(ref.data(), out.data(),
                         static_cast<std::size_t>(ref.numel()) *
                             sizeof(float)) != 0) {
@@ -194,7 +194,7 @@ TEST(Kernels, NestedInsideParallelForRunsInlineWithoutDeadlock) {
   std::vector<int> ok(6, 0);
   outer.parallel_for(ok.size(), [&](std::size_t i) {
     Tensor out({96, 96});
-    matmul_into(out, a, b, KernelMode::kBlockedParallel);
+    matmul_into(out, a, b, KernelMode::kBlocked);
     ok[i] = std::memcmp(ref.data(), out.data(),
                         static_cast<std::size_t>(ref.numel()) *
                             sizeof(float)) == 0
@@ -362,35 +362,38 @@ void expect_same_trajectory(const TrajectoryRun& a, const TrajectoryRun& b) {
 TEST(Trajectory, SgdBitExactAcrossModesAndThreadCounts) {
   KernelStateGuard guard;
   const TrajectoryRun naive = run_pipeline(KernelMode::kNaive, 1, false);
-  expect_same_trajectory(naive,
-                         run_pipeline(KernelMode::kBlocked, 1, false));
-  expect_same_trajectory(
-      naive, run_pipeline(KernelMode::kBlockedParallel, 1, false));
-  expect_same_trajectory(
-      naive, run_pipeline(KernelMode::kBlockedParallel, 4, false));
+  for (const int threads : {1, 4}) {
+    SCOPED_TRACE(::testing::Message() << "threads=" << threads);
+    expect_same_trajectory(
+        naive, run_pipeline(KernelMode::kBlocked, threads, false));
+  }
 }
 
 TEST(Trajectory, AdamBitExactAcrossModesAndThreadCounts) {
   KernelStateGuard guard;
   const TrajectoryRun naive = run_pipeline(KernelMode::kNaive, 1, true);
-  expect_same_trajectory(naive,
-                         run_pipeline(KernelMode::kBlocked, 1, true));
-  expect_same_trajectory(
-      naive, run_pipeline(KernelMode::kBlockedParallel, 4, true));
+  for (const int threads : {1, 4}) {
+    SCOPED_TRACE(::testing::Message() << "threads=" << threads);
+    expect_same_trajectory(
+        naive, run_pipeline(KernelMode::kBlocked, threads, true));
+  }
 }
 
 TEST(Trajectory, ReferenceTrainerBitExactAcrossModes) {
   KernelStateGuard guard;
   const DdpmProblem problem(DdpmConfig{});
-  auto run = [&](KernelMode mode) {
+  auto run = [&](KernelMode mode, int threads) {
     set_kernel_mode(mode);
+    set_kernel_threads(threads);
     ReferenceTrainer trainer(problem, 16, 0.1f);
     trainer.train(10);
     return TrajectoryRun{trainer.losses(), trainer.snapshot_params()};
   };
-  const TrajectoryRun naive = run(KernelMode::kNaive);
-  expect_same_trajectory(naive, run(KernelMode::kBlocked));
-  expect_same_trajectory(naive, run(KernelMode::kBlockedParallel));
+  const TrajectoryRun naive = run(KernelMode::kNaive, 1);
+  for (const int threads : {1, 4}) {
+    SCOPED_TRACE(::testing::Message() << "threads=" << threads);
+    expect_same_trajectory(naive, run(KernelMode::kBlocked, threads));
+  }
 }
 
 TEST(Trajectory, TrainerSurfacesPoolStats) {
