@@ -1,14 +1,17 @@
-// Planner grid-search performance: sequential vs parallel vs
-// parallel+memoized (see DESIGN.md §7). Prints one table row per
-// (model, machines) testbed and writes the same rows to a JSON file
-// (default BENCH_planner.json in the current directory — run from the
-// repo root; pass an output path as argv[1] to override).
+// Planner grid-search performance: the memoized search at width 1 (inline
+// on the calling thread) vs at the executor's width (see DESIGN.md §7).
+// Prints one table row per (model, machines) testbed and writes the same
+// rows to a JSON file (default BENCH_planner.json in the current directory
+// — run from the repo root; pass an output path as argv[1] to override).
+
+#include <sched.h>
 
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench_util.h"
@@ -27,18 +30,25 @@ struct Case {
 
 struct Row {
   std::string config;
-  double seq_ms = 0.0;         ///< 1 thread, no stage cache.
-  double par_nocache_ms = 0.0; ///< All threads, no stage cache (forced).
-  double par_ms = 0.0;         ///< All threads + stage cache (forced).
-  double adaptive_ms = 0.0;    ///< Default options: the work-estimate
-                               ///< threshold picks seq or par per grid.
-  double speedup = 0.0;          ///< seq_ms / par_ms.
-  double adaptive_speedup = 0.0; ///< seq_ms / adaptive_ms (>= ~1 always:
-                                 ///< the small-grid regression fix).
+  double width1_ms = 0.0;  ///< search_threads = 1: inline, memoized.
+  double wide_ms = 0.0;    ///< search_threads = 0: the executor's width.
+  double speedup = 0.0;    ///< width1_ms / wide_ms.
+  int threads = 0;         ///< Width the wide search actually used.
+  int nproc = 0;           ///< CPUs this process may run on.
   double cache_hit_rate = 0.0;
   int combos = 0;
   int vstage_axis = 1;  ///< V-axis size: 1 = the historical (S, M, D) grid.
 };
+
+/// CPUs this process may run on (what `nproc` prints).
+int available_cpus() {
+  cpu_set_t mask;
+  CPU_ZERO(&mask);
+  if (sched_getaffinity(0, sizeof(mask), &mask) == 0) {
+    return CPU_COUNT(&mask);
+  }
+  return static_cast<int>(std::thread::hardware_concurrency());
+}
 
 double time_plan_once_ms(const Planner& planner, Plan* out) {
   const auto start = std::chrono::steady_clock::now();
@@ -81,59 +91,39 @@ void time_plans_ms(const std::vector<const Planner*>& planners,
 Row run_case(const Case& c) {
   const ClusterSpec cluster = make_p4de_cluster(c.machines);
 
-  PlannerOptions seq_opts;
-  seq_opts.global_batch = c.global_batch;
-  seq_opts.search_threads = 1;
-  seq_opts.enable_stage_cache = false;
+  PlannerOptions width1_opts;
+  width1_opts.global_batch = c.global_batch;
+  width1_opts.search_threads = 1;
 
-  PlannerOptions par_nocache_opts = seq_opts;
-  par_nocache_opts.search_threads = 0;  // All hardware threads.
-  par_nocache_opts.parallel_work_threshold = 0.0;  // Forced fan-out.
+  PlannerOptions wide_opts = width1_opts;
+  wide_opts.search_threads = 0;
 
-  PlannerOptions par_opts = par_nocache_opts;
-  par_opts.enable_stage_cache = true;
-
-  // Out-of-the-box behavior: the work-estimate threshold decides, per
-  // grid, whether the fan-out + per-evaluation cache pay for themselves.
-  PlannerOptions adaptive_opts;
-  adaptive_opts.global_batch = c.global_batch;
-  adaptive_opts.search_threads = 0;
-
-  const Planner seq_planner(c.model, cluster, seq_opts);
-  const Planner par_nocache_planner(c.model, cluster, par_nocache_opts);
-  const Planner par_planner(c.model, cluster, par_opts);
-  const Planner adaptive_planner(c.model, cluster, adaptive_opts);
+  const Planner width1_planner(c.model, cluster, width1_opts);
+  const Planner wide_planner(c.model, cluster, wide_opts);
 
   Row row;
   row.config = c.name;
   std::vector<double> best_ms;
   std::vector<Plan> plans;
-  time_plans_ms({&seq_planner, &par_nocache_planner, &par_planner,
-                 &adaptive_planner},
-                &best_ms, &plans);
-  row.seq_ms = best_ms[0];
-  row.par_nocache_ms = best_ms[1];
-  row.par_ms = best_ms[2];
-  row.adaptive_ms = best_ms[3];
-  const Plan& seq_plan = plans[0];
-  const Plan& par_nocache_plan = plans[1];
-  const Plan& par_plan = plans[2];
-  const Plan& adaptive_plan = plans[3];
-  row.speedup = row.seq_ms / row.par_ms;
-  row.adaptive_speedup = row.seq_ms / row.adaptive_ms;
-  row.combos = par_plan.search.combos_total;
-  row.vstage_axis = par_plan.search.vstage_axis;
-  const double lookups = static_cast<double>(par_plan.search.cache_hits +
-                                             par_plan.search.cache_misses);
+  time_plans_ms({&width1_planner, &wide_planner}, &best_ms, &plans);
+  row.width1_ms = best_ms[0];
+  row.wide_ms = best_ms[1];
+  const Plan& width1_plan = plans[0];
+  const Plan& wide_plan = plans[1];
+  row.speedup = row.width1_ms / row.wide_ms;
+  row.threads = wide_plan.search.threads;
+  row.nproc = available_cpus();
+  row.combos = wide_plan.search.combos_total;
+  row.vstage_axis = wide_plan.search.vstage_axis;
+  const double lookups = static_cast<double>(wide_plan.search.cache_hits +
+                                             wide_plan.search.cache_misses);
   row.cache_hit_rate =
-      lookups > 0.0 ? par_plan.search.cache_hits / lookups : 0.0;
+      lookups > 0.0 ? wide_plan.search.cache_hits / lookups : 0.0;
 
-  // Sanity: all variants must pick the same plan (the tentpole's
-  // bit-identity contract; the parity tests check it exhaustively).
-  if (!(seq_plan.config == par_plan.config) ||
-      !(seq_plan.config == par_nocache_plan.config) ||
-      !(seq_plan.config == adaptive_plan.config)) {
-    std::fprintf(stderr, "FATAL: %s: plan mismatch across search variants\n",
+  // Sanity: both widths must pick the same plan (the search's bit-identity
+  // contract; the parity tests check it exhaustively).
+  if (!(width1_plan.config == wide_plan.config)) {
+    std::fprintf(stderr, "FATAL: %s: plan mismatch across search widths\n",
                  c.name.c_str());
     std::exit(1);
   }
@@ -154,43 +144,37 @@ int main(int argc, char** argv) {
   cases.push_back({"cdm_x1", make_cdm_lsun(), 1, 128.0});
   cases.push_back({"cdm_x2", make_cdm_lsun(), 2, 256.0});
 
-  bench::header(
-      "Planner search: sequential vs parallel vs parallel+cache vs adaptive");
-  std::printf("host threads: %d\n", default_thread_count());
-  std::printf("%-16s %8s %14s %10s %11s %9s %9s %9s %7s\n", "config",
-              "seq_ms", "par_nocache_ms", "par_ms", "adaptive_ms", "speedup",
-              "adaptive", "hit_rate", "combos");
+  bench::header("Planner search: width 1 vs executor width (memoized)");
+  std::printf("nproc: %d, executor width: %d\n", available_cpus(),
+              executor_width());
+  std::printf("%-16s %10s %10s %9s %8s %9s %7s\n", "config", "width1_ms",
+              "wide_ms", "speedup", "threads", "hit_rate", "combos");
 
   std::vector<Row> rows;
   for (const Case& c : cases) {
     const Row row = run_case(c);
-    std::printf("%-16s %8.1f %14.1f %10.1f %11.1f %8.2fx %8.2fx %8.1f%% %7d\n",
-                row.config.c_str(), row.seq_ms, row.par_nocache_ms,
-                row.par_ms, row.adaptive_ms, row.speedup,
-                row.adaptive_speedup, 100.0 * row.cache_hit_rate, row.combos);
+    std::printf("%-16s %10.1f %10.1f %8.2fx %8d %8.1f%% %7d\n",
+                row.config.c_str(), row.width1_ms, row.wide_ms, row.speedup,
+                row.threads, 100.0 * row.cache_hit_rate, row.combos);
     rows.push_back(row);
   }
 
-  double total_seq = 0.0;
-  double total_par = 0.0;
-  double total_adaptive = 0.0;
+  double total_width1 = 0.0;
+  double total_wide = 0.0;
   for (const Row& r : rows) {
-    total_seq += r.seq_ms;
-    total_par += r.par_ms;
-    total_adaptive += r.adaptive_ms;
+    total_width1 += r.width1_ms;
+    total_wide += r.wide_ms;
   }
-  std::printf("aggregate speedup: forced %.2fx, adaptive %.2fx\n",
-              total_seq / total_par, total_seq / total_adaptive);
+  std::printf("aggregate speedup: %.2fx\n", total_width1 / total_wide);
 
   std::ofstream json(out_path);
   json << "[\n";
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const Row& r = rows[i];
-    json << "  {\"config\": \"" << r.config << "\", \"seq_ms\": " << r.seq_ms
-         << ", \"par_ms\": " << r.par_ms << ", \"speedup\": " << r.speedup
-         << ", \"par_nocache_ms\": " << r.par_nocache_ms
-         << ", \"adaptive_ms\": " << r.adaptive_ms
-         << ", \"adaptive_speedup\": " << r.adaptive_speedup
+    json << "  {\"config\": \"" << r.config
+         << "\", \"width1_ms\": " << r.width1_ms
+         << ", \"wide_ms\": " << r.wide_ms << ", \"speedup\": " << r.speedup
+         << ", \"threads\": " << r.threads << ", \"nproc\": " << r.nproc
          << ", \"cache_hit_rate\": " << r.cache_hit_rate
          << ", \"combos\": " << r.combos
          << ", \"vstage_axis\": " << r.vstage_axis << "}"

@@ -35,6 +35,13 @@ void write_instruction(CanonicalWriter& out, const Instruction& i) {
       << " sz=" << i.size_mb << '\n';
 }
 
+/// Throws std::invalid_argument unless `tokens`, read from `line`, holds
+/// nothing after the fields already parsed.
+void require_line_consumed(std::istream& tokens, const std::string& line) {
+  std::string extra;
+  require(!(tokens >> extra), "trailing bytes on line: " + line);
+}
+
 Instruction parse_instruction(const std::string& line) {
   std::istringstream tokens(line);
   Instruction i;
@@ -52,8 +59,7 @@ Instruction parse_instruction(const std::string& line) {
   i.samples = read_double_field(tokens, "n=");
   i.peer = read_integer_field<int>(tokens, "p=");
   i.size_mb = read_double_field(tokens, "sz=");
-  std::string extra;
-  require(!(tokens >> extra), "trailing bytes on instruction line: " + line);
+  require_line_consumed(tokens, line);
   return i;
 }
 
@@ -63,21 +69,20 @@ InstructionProgram load_program(std::istream& in) {
   std::string line;
   require(std::getline(in, line) && line == "dpipe-program v1",
           "not a dpipe-program v1 file");
+  // Every header line is parsed whole: `<key> <integer>` and nothing else.
+  const auto header_value = [&in, &line](const std::string& key) {
+    require(static_cast<bool>(std::getline(in, line)), "expected " + key);
+    std::istringstream header(line);
+    expect_keyword(header, key);
+    const int value = read_integer<int>(header, key);
+    require_line_consumed(header, line);
+    return value;
+  };
   InstructionProgram program;
-  std::string keyword;
-  {
-    require(static_cast<bool>(in >> keyword) && keyword == "group_size",
-            "expected group_size");
-    require(static_cast<bool>(in >> program.group_size) &&
-                program.group_size >= 1,
-            "invalid group_size");
-    require(static_cast<bool>(in >> keyword) && keyword == "num_backbones",
-            "expected num_backbones");
-    require(static_cast<bool>(in >> program.num_backbones) &&
-                program.num_backbones >= 1,
-            "invalid num_backbones");
-    std::getline(in, line);  // Consume the trailing newline.
-  }
+  program.group_size = header_value("group_size");
+  require(program.group_size >= 1, "invalid group_size");
+  program.num_backbones = header_value("num_backbones");
+  require(program.num_backbones >= 1, "invalid num_backbones");
   // group_size comes from the input, so nothing is sized by it until the
   // input has backed it: sections are collected as they are read, and the
   // per-device tables are built only once all 2 * group_size arrived.
@@ -92,11 +97,12 @@ InstructionProgram load_program(std::istream& in) {
     require(static_cast<bool>(std::getline(in, line)),
             "truncated program: missing device section");
     std::istringstream header(line);
-    std::string tag, phase;
-    int dev = -1;
-    std::size_t count = 0;
-    header >> tag >> dev >> phase >> count;
-    require(tag == "device" && dev >= 0 && dev < program.group_size &&
+    expect_keyword(header, "device");
+    const int dev = read_integer<int>(header, "device");
+    const std::string phase = read_token(header, "device phase");
+    const auto count = read_integer<std::size_t>(header, "instruction count");
+    require_line_consumed(header, line);
+    require(dev >= 0 && dev < program.group_size &&
                 (phase == "preamble" || phase == "steady"),
             "malformed device section header: " + line);
     Section& target =

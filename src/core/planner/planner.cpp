@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <limits>
 
 #include "common/hash.h"
 #include "common/parallel.h"
@@ -53,14 +52,6 @@ Planner::Planner(ModelDesc model, ClusterSpec cluster, PlannerOptions options)
   ensure(model_.backbone_ids.size() <= 2,
          "grouping must produce at most two virtual backbones");
   apply_default_candidates(options_, cluster_.world_size());
-  // The historical one_replica_per_stage flag is a deprecated alias of the
-  // placement predicate: setting either sets both.
-  if (options_.one_replica_per_stage) {
-    options_.require_bindable_placement = true;
-  }
-  if (options_.require_bindable_placement) {
-    options_.one_replica_per_stage = true;
-  }
   for (const int v : options_.vstage_candidates) {
     require(v >= 1, "vstage candidates must be positive");
     require(v == 1 || options_.schedule_family == ScheduleFamily::kInterleaved,
@@ -134,52 +125,8 @@ bool Planner::combo_shape_valid(int S, int M, int D, int V) const {
   return true;
 }
 
-double Planner::search_lower_bound_ms(int S, int M, int D, int V) const {
-  if (!combo_shape_valid(S, M, D, V)) {
-    return std::numeric_limits<double>::infinity();
-  }
-  const int dp = cluster_.world_size() / D;
-  const double micro = options_.global_batch / dp / M;
-  const int replicas = D / S;  // Uniform replication (§4.1 fn. 2).
-  const double replica_batch = micro / replicas;
-  double full_range_ms = 0.0;
-  for (const int b : model_.backbone_ids) {
-    const int L = model_.components[b].num_layers();
-    full_range_ms += report_.db.fwd_range_ms(b, 0, L, replica_batch) +
-                     report_.db.bwd_range_ms(b, 0, L, replica_batch);
-  }
-  // Average-busy-time bound: every device must run its stage's compute for
-  // all M micro-batches, so makespan >= total compute / D
-  //   = (replicas * M * full_range) / D = M / S * full_range.
-  // Comm, sync, self-conditioning, and fill work only add on top. The
-  // (1 - 1e-9) margin keeps the bound strictly below the true cost even if
-  // summation order perturbs the last bits.
-  return full_range_ms * static_cast<double>(M) / static_cast<double>(S) *
-         (1.0 - 1e-9);
-}
-
-double Planner::combo_work_estimate(int S, int M, int D, int V) const {
-  if (!combo_shape_valid(S, M, D, V)) {
-    return 0.0;
-  }
-  double layer_sq = 0.0;
-  for (const int b : model_.backbone_ids) {
-    const double L = model_.components[b].num_layers();
-    layer_sq += L * L;
-  }
-  // Interleaved combos partition over the S*V-position virtual chain, so
-  // their DP table is L^2 x (S*V); plain combos use the physical chain (D
-  // positions).
-  double work = layer_sq * (V > 1 ? S * V : D);
-  if (model_.backbone_ids.size() > 1) {
-    work *= D;  // The bidirectional DP pairs every down/up device split.
-  }
-  return work;
-}
-
 std::optional<Planner::Evaluation> Planner::evaluate(
-    int S, int M, int D, int V, StageCostCache* external_cache,
-    bool enable_eval_cache) const {
+    int S, int M, int D, int V, StageCostCache* external_cache) const {
   if (!combo_shape_valid(S, M, D, V)) {
     return std::nullopt;
   }
@@ -203,13 +150,9 @@ std::optional<Planner::Evaluation> Planner::evaluate(
   // the combo's persistent cache (pre-fetched by plan()) is used instead,
   // carrying costs memoized by earlier plans into this one.
   StageCostCache cache;
-  StageCostCache* cache_ptr =
-      external_cache != nullptr
-          ? external_cache
-          : (options_.enable_stage_cache && enable_eval_cache ? &cache
-                                                              : nullptr);
-  const std::size_t hits_before = cache_ptr ? cache_ptr->hits() : 0;
-  const std::size_t misses_before = cache_ptr ? cache_ptr->misses() : 0;
+  StageCostCache* cache_ptr = external_cache != nullptr ? external_cache : &cache;
+  const std::size_t hits_before = cache_ptr->hits();
+  const std::size_t misses_before = cache_ptr->misses();
 
   const auto partition_start = std::chrono::steady_clock::now();
   const DpPartitioner partitioner(report_.db, comm_);
@@ -259,8 +202,8 @@ std::optional<Planner::Evaluation> Planner::evaluate(
   }
 
   Evaluation eval;
-  eval.cache_hits = cache_ptr ? cache_ptr->hits() - hits_before : 0;
-  eval.cache_misses = cache_ptr ? cache_ptr->misses() - misses_before : 0;
+  eval.cache_hits = cache_ptr->hits() - hits_before;
+  eval.cache_misses = cache_ptr->misses() - misses_before;
 
   if (options_.check_memory) {
     const MemoryReport memory =
@@ -312,29 +255,12 @@ Plan Planner::plan() const {
 
   const auto search_start = std::chrono::steady_clock::now();
 
-  // Adaptive granularity: estimate the grid's host work and skip the
-  // heavyweight search machinery when it cannot pay for itself — both the
-  // executor fan-out AND the per-evaluation stage cache, whose
-  // bookkeeping outweighs its savings on small single-backbone grids
-  // (BENCH_planner's small-grid regression). Small grids take the true
-  // sequential path below: a plain loop, no executor fan-out, no
-  // cache bookkeeping. Results are bit-identical either way; only wall
-  // time changes. Persistent cache stores are exempt: their warmth spans
-  // plans, which is the point of having them.
-  double grid_work = 0.0;
-  for (const Combo& c : combos) {
-    grid_work += combo_work_estimate(c.S, c.M, c.D, c.V);
-  }
-  const bool small_grid = grid_work < options_.parallel_work_threshold;
-  const bool run_sequential = small_grid || options_.search_threads == 1;
-  const bool eval_cache = !small_grid;
-
   // With a cache store, lease every shape-valid combo's persistent cache up
   // front; the store is thread-safe and each lease is exclusive, so one
   // search thread owns each cache for the duration of the search.
   std::vector<StageCostStore::Lease> leases(n);
   std::vector<StageCostCache*> combo_cache(n, nullptr);
-  if (options_.cache_store != nullptr && options_.enable_stage_cache) {
+  if (options_.cache_store != nullptr) {
     const std::string context = cost_context_fingerprint();
     const int world = cluster_.world_size();
     for (std::size_t i = 0; i < n; ++i) {
@@ -355,73 +281,20 @@ Plan Planner::plan() const {
     }
   }
 
-  // Optional exact pruning. The incumbent seed is chosen deterministically
-  // (lowest lower bound, ties to the lowest combo index), evaluated up
-  // front, and only combos whose lower bound is STRICTLY above the seed's
-  // achieved time are skipped — such combos are strictly worse than the
-  // global optimum, so the selected plan (and its earliest-minimum
-  // tie-break) is unchanged. Pruned combos never reach `explored`.
-  std::vector<char> skip(n, 0);
-  std::optional<Evaluation> seed_eval;
-  std::size_t seed_index = n;
-  int pruned_count = 0;
-  if (options_.enable_pruning) {
-    std::vector<double> lb(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      lb[i] = search_lower_bound_ms(combos[i].S, combos[i].M, combos[i].D,
-                                    combos[i].V);
-    }
-    for (std::size_t i = 0; i < n; ++i) {
-      if (std::isfinite(lb[i]) &&
-          (seed_index == n || lb[i] < lb[seed_index])) {
-        seed_index = i;
-      }
-    }
-    if (seed_index != n) {
-      seed_eval = evaluate(combos[seed_index].S, combos[seed_index].M,
-                           combos[seed_index].D, combos[seed_index].V,
-                           combo_cache[seed_index], eval_cache);
-      const double threshold =
-          (seed_eval.has_value() && seed_eval->config.memory_feasible)
-              ? seed_eval->config.predicted_iteration_ms
-              : std::numeric_limits<double>::infinity();
-      for (std::size_t i = 0; i < n; ++i) {
-        if (i != seed_index && lb[i] > threshold) {
-          skip[i] = 1;
-          ++pruned_count;
-        }
-      }
-    }
-  }
-
-  // Evaluation. Each index writes only results[i], so the parallel outcome
-  // is bit-identical for any width (see parallel_for's contract); the
-  // reduction below runs sequentially in candidate order, reproducing the
-  // sequential loop's earliest-minimum selection exactly. Small grids run
-  // the same loop inline without ever touching the executor.
+  // Evaluation. Each index writes only results[i], so the outcome is
+  // bit-identical for any width (see parallel_for's contract; width 1 runs
+  // inline on the calling thread); the reduction below runs sequentially in
+  // candidate order, reproducing the sequential loop's earliest-minimum
+  // selection exactly.
+  const int width = executor_width();
+  const int threads_used = options_.search_threads > 0
+                               ? std::min(options_.search_threads, width)
+                               : width;
   std::vector<std::optional<Evaluation>> results(n);
-  if (seed_index != n) {
-    results[seed_index] = std::move(seed_eval);
-    skip[seed_index] = 1;  // Already evaluated; not pruned.
-  }
-  const auto evaluate_combo = [&](std::size_t i) {
-    if (!skip[i]) {
-      results[i] = evaluate(combos[i].S, combos[i].M, combos[i].D,
-                            combos[i].V, combo_cache[i], eval_cache);
-    }
-  };
-  int threads_used = 1;
-  if (run_sequential) {
-    for (std::size_t i = 0; i < n; ++i) {
-      evaluate_combo(i);
-    }
-  } else {
-    const int width = executor_width();
-    threads_used = options_.search_threads > 0
-                       ? std::min(options_.search_threads, width)
-                       : width;
-    parallel_for(n, threads_used, evaluate_combo);
-  }
+  parallel_for(n, threads_used, [&](std::size_t i) {
+    results[i] = evaluate(combos[i].S, combos[i].M, combos[i].D, combos[i].V,
+                          combo_cache[i]);
+  });
 
   std::optional<Evaluation> best;
   double partition_ms = 0.0;
@@ -452,8 +325,7 @@ Plan Planner::plan() const {
   plan.search.combos_total = static_cast<int>(n);
   plan.search.vstage_axis =
       static_cast<int>(options_.vstage_candidates.size());
-  plan.search.combos_evaluated = static_cast<int>(n) - pruned_count;
-  plan.search.combos_pruned = pruned_count;
+  plan.search.combos_evaluated = static_cast<int>(n);
   plan.search.cache_hits = cache_hits;
   plan.search.cache_misses = cache_misses;
   plan.search.search_wall_ms = elapsed_ms(search_start);

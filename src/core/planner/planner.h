@@ -24,17 +24,10 @@ struct PlannerOptions {
   bool enable_partial = true;  ///< Ablation: partial-batch layers (§6.3).
   bool check_memory = true;    ///< Skip configurations that exceed HBM.
   /// Cap on the threads the (S, M, D) grid search fans out over on the
-  /// process-wide executor; 0 = the executor's width. The selected plan and
-  /// explored list are bit-identical for every value.
+  /// process-wide executor; 0 = the executor's width, 1 = inline on the
+  /// calling thread. The selected plan and explored list are bit-identical
+  /// for every value.
   int search_threads = 0;
-  /// Adaptive granularity: the grid search stays sequential (one thread)
-  /// unless its estimated work — shape-valid combos weighted by backbone
-  /// DP size, sum of L^2 x D per combo, squared device factor for
-  /// bidirectional cascades — clears this threshold. Small grids (SD,
-  /// ControlNet testbeds) lose more to thread-pool startup than they gain;
-  /// CDM cascades clear the bar by an order of magnitude. 0 always fans
-  /// out; the plan is bit-identical either way (parallel_for contract).
-  double parallel_work_threshold = 500e3;
   /// Schedule family of the candidate plans. k1F1B (the default) is the
   /// paper's single-backbone schedule; kInterleaved searches the virtual-
   /// stage axis too: each (S, M, D, V) combo with V > 1 partitions the
@@ -54,9 +47,6 @@ struct PlannerOptions {
   /// ProgramValidator::validate_runtime_bindable). Elastic re-plans set
   /// this so every candidate program is executable.
   bool require_bindable_placement = false;
-  /// Deprecated alias of require_bindable_placement (the historical name,
-  /// kept for wire compatibility). Setting either sets both.
-  bool one_replica_per_stage = false;
   /// Reject combos whose micro-batch is fractional. The engine models
   /// fractional micro-batches fine; the functional runtime slices real
   /// tensors and needs global_batch divisible by dp x M.
@@ -70,15 +60,6 @@ struct PlannerOptions {
   /// store and must keep it alive. nullptr = per-evaluation caches (the
   /// default).
   StageCostStore* cache_store = nullptr;
-  /// Memoize DpPartitioner::stage_cost per configuration (shared between
-  /// the DP and the schedule builder). Invisible to results; off only for
-  /// benchmarking the unmemoized path.
-  bool enable_stage_cache = true;
-  /// Exact branch-and-bound: skip configurations whose compute lower bound
-  /// proves they cannot beat a deterministically chosen incumbent. Never
-  /// changes the selected plan; pruned (provably worse) configurations are
-  /// omitted from `explored`, which is why this is off by default.
-  bool enable_pruning = false;
   ProfilerOptions profiler;    ///< Step-1 settings.
 };
 
@@ -103,7 +84,6 @@ struct PlanSearchStats {
   int combos_total = 0;      ///< Grid points enumerated.
   int vstage_axis = 1;       ///< V-axis size (vstage candidate count).
   int combos_evaluated = 0;  ///< evaluate() calls performed.
-  int combos_pruned = 0;     ///< Skipped via the exact compute lower bound.
   std::size_t cache_hits = 0;    ///< StageCostCache hits, all evaluations.
   std::size_t cache_misses = 0;
   double search_wall_ms = 0.0;  ///< Wall time of steps 2-4 (the whole grid).
@@ -116,8 +96,7 @@ struct Plan {
   FillResult fill;                  ///< Includes the filled schedule.
   InstructionProgram program;
   /// Every feasible config evaluated, in deterministic (D, S, M) candidate
-  /// order. With pruning enabled, configs proven worse than the selected
-  /// plan are omitted.
+  /// order.
   std::vector<PlanConfig> explored;
   PlanSearchStats search;           ///< Grid-search instrumentation.
   double profiling_wall_ms = 0.0;   ///< Estimated step-1 cluster time.
@@ -147,15 +126,6 @@ class Planner {
   [[nodiscard]] const ClusterSpec& cluster() const { return cluster_; }
   [[nodiscard]] const PlannerOptions& options() const { return options_; }
 
-  /// Estimated host work of evaluating one shape-valid combo, in the
-  /// arbitrary units parallel_work_threshold is expressed in (roughly
-  /// stage_cost evaluations: DP table size L^2 x D, with another device
-  /// factor for the bidirectional pairing loop and a chain factor of S*V
-  /// for interleaved combos). plan() sums this over the grid to decide
-  /// between sequential and parallel search.
-  [[nodiscard]] double combo_work_estimate(int S, int M, int D,
-                                           int V = 1) const;
-
   /// Fills empty candidate lists with their defaults for a `world`-device
   /// cluster: S in {2, 4, 8}, M in {2, 4, 8, 16}, D over the divisors of
   /// the world size (>= 2). The constructor applies this; the plan
@@ -179,24 +149,17 @@ class Planner {
     std::size_t cache_misses = 0;
   };
   /// `external_cache` (optional) is a pre-bound-or-empty StageCostCache
-  /// from options_.cache_store; nullptr = per-evaluation cache (itself
-  /// skipped when `enable_eval_cache` is false — plan()'s small-grid
-  /// adaptive path). Hit/miss stats in the returned Evaluation are deltas
-  /// for this call either way.
+  /// leased from options_.cache_store; nullptr = a per-evaluation cache.
+  /// Hit/miss stats in the returned Evaluation are deltas for this call
+  /// either way.
   [[nodiscard]] std::optional<Evaluation> evaluate(
-      int S, int M, int D, int V, StageCostCache* external_cache = nullptr,
-      bool enable_eval_cache = true) const;
-  /// The cheap structural validity checks shared by evaluate() and the
-  /// pruning lower bound (divisibility, micro-batch >= 1 sample, enough
-  /// layers per stage, CDM self-conditioning exclusion, and the placement
-  /// predicate: bindable shapes for V > 1 or require_bindable_placement).
+      int S, int M, int D, int V,
+      StageCostCache* external_cache = nullptr) const;
+  /// The cheap structural validity checks of a combo (divisibility,
+  /// micro-batch >= 1 sample, enough layers per stage, CDM
+  /// self-conditioning exclusion, and the placement predicate: bindable
+  /// shapes for V > 1 or require_bindable_placement).
   [[nodiscard]] bool combo_shape_valid(int S, int M, int D, int V = 1) const;
-  /// Exact lower bound on any schedule's makespan for (S, M, D, V): total
-  /// backbone compute spread perfectly over the group's devices (the V
-  /// axis redistributes stages, not compute, so the bound is V-free). +inf
-  /// for shape-invalid combos. See DESIGN.md §7.
-  [[nodiscard]] double search_lower_bound_ms(int S, int M, int D,
-                                             int V = 1) const;
 
   ModelDesc model_;
   ClusterSpec cluster_;

@@ -68,7 +68,7 @@ Plan ElasticRecoveryController::plan_for_world(int world) {
   popts.search_threads = options_.search_threads;
   // Only runtime-bindable shapes: one device per stage and whole-sample
   // micro-batches (the functional runtime slices real tensor rows).
-  popts.one_replica_per_stage = true;
+  popts.require_bindable_placement = true;
   popts.integer_microbatches = true;
   // Match the trainer's own lowering: bubbles are only filled with frozen
   // work in cross-iteration mode; otherwise the non-trainable part runs as

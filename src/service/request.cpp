@@ -41,16 +41,14 @@ std::string canonical_request_text(const PlanRequest& request) {
   PlannerOptions options = request.options;
   Planner::apply_default_candidates(options, request.cluster.world_size());
   CanonicalWriter out;
-  out << "dpipe-plan-request v1\n";
+  out << "dpipe-plan-request v2\n";
   write_canonical(out, request.model);
   write_canonical(out, request.cluster);
   out << "options global_batch=" << options.global_batch
       << " fill=" << (options.enable_fill ? 1 : 0)
       << " partial=" << (options.enable_partial ? 1 : 0)
       << " mem=" << (options.check_memory ? 1 : 0)
-      << " one_replica=" << (options.one_replica_per_stage ? 1 : 0)
       << " int_micro=" << (options.integer_microbatches ? 1 : 0)
-      << " prune=" << (options.enable_pruning ? 1 : 0)
       << " bindable=" << (options.require_bindable_placement ? 1 : 0)
       << " family=" << static_cast<int>(options.schedule_family) << '\n';
   write_candidates(out, "stage_candidates", options.stage_candidates);
@@ -65,8 +63,8 @@ std::string canonical_request_text(const PlanRequest& request) {
 PlanRequest parse_request_text(const std::string& text) {
   std::istringstream in(text);
   std::string line;
-  require(std::getline(in, line) && line == "dpipe-plan-request v1",
-          "not a dpipe-plan-request v1 payload");
+  require(std::getline(in, line) && line == "dpipe-plan-request v2",
+          "not a dpipe-plan-request v2 payload");
   PlanRequest request;
   request.model = read_canonical_model(in);
   request.cluster = read_canonical_cluster(in);
@@ -78,9 +76,7 @@ PlanRequest parse_request_text(const std::string& text) {
   request.options.enable_fill = flag("fill=");
   request.options.enable_partial = flag("partial=");
   request.options.check_memory = flag("mem=");
-  request.options.one_replica_per_stage = flag("one_replica=");
   request.options.integer_microbatches = flag("int_micro=");
-  request.options.enable_pruning = flag("prune=");
   request.options.require_bindable_placement = flag("bindable=");
   request.options.schedule_family =
       static_cast<ScheduleFamily>(read_integer_field<int>(in, "family="));

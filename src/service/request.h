@@ -29,13 +29,12 @@ struct PlanRequest {
 ///   - the wire encoding of a request (it parses back losslessly).
 ///
 /// Result-INVISIBLE options are deliberately excluded so they cannot
-/// fragment the cache: search_threads, parallel_work_threshold,
-/// enable_stage_cache, and cache_store all leave the selected plan
-/// bit-identical by the planner's determinism contract.
-/// enable_pruning IS included: it changes the `explored` list. Empty
-/// candidate lists are resolved to their defaults first
-/// (Planner::apply_default_candidates), so "defaulted" and
-/// "explicitly-default" requests share one cache entry.
+/// fragment the cache: search_threads and cache_store both leave the
+/// selected plan and the `explored` list bit-identical by the planner's
+/// determinism contract. Empty candidate lists are resolved to their
+/// defaults first (Planner::apply_default_candidates), so "defaulted" and
+/// "explicitly-default" requests share one cache entry. The text starts
+/// with "dpipe-plan-request v2"; v1 payloads no longer parse.
 [[nodiscard]] std::string canonical_request_text(const PlanRequest& request);
 
 /// Parses canonical_request_text output (excluded options take their

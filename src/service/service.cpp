@@ -27,8 +27,6 @@ std::shared_ptr<const CachedPlan> PlanService::compute_plan(
     const PlanRequest& request, const std::string& request_text) {
   PlannerOptions popts = request.options;
   popts.search_threads = options_.planner_threads;
-  popts.parallel_work_threshold = options_.parallel_work_threshold;
-  popts.enable_stage_cache = true;
   popts.cache_store = &stage_costs_;
   const Planner planner(request.model, request.cluster, popts);
   const Plan plan = planner.plan();

@@ -24,8 +24,6 @@ struct PlanServiceOptions {
   /// search_threads applied to every cold plan (0 = the executor's
   /// width).
   int planner_threads = 0;
-  /// Adaptive-granularity threshold forwarded to the planner.
-  double parallel_work_threshold = 500e3;
   /// Run require_valid_program() on every cold plan before it is cached or
   /// persisted, so the cache can only ever serve validated programs.
   bool validate_programs = true;

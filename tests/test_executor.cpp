@@ -95,7 +95,6 @@ PlannerOptions forced_fan_out(double global_batch) {
   options.global_batch = global_batch;
   options.stage_candidates = {2, 4};
   options.micro_candidates = {2, 4};
-  options.parallel_work_threshold = 0.0;  // Always fan out.
   return options;
 }
 
@@ -144,7 +143,6 @@ TEST(Executor, PlanAllWithNestedPlannerFanOutMatchesWidthOne) {
     requests.push_back(request);
   }
   PlanServiceOptions options;
-  options.parallel_work_threshold = 0.0;
 
   set_executor_width(1);
   PlanService sequential(options);

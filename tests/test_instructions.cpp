@@ -216,6 +216,24 @@ TEST(Serialize, RejectsMalformedInput) {
           "device 0 preamble 1\n"
           "teleport b=0 s=0 m=0 c=0 l=0:1 n=1 p=-1 sz=0\n"),  // Bad kind.
       std::invalid_argument);
+  // Header lines are parsed whole: a missing or non-numeric count, stray
+  // bytes after a number and a stray token all fail instead of loading
+  // (the device sections as empty ones).
+  for (const std::string body :
+       {"group_size 1\nnum_backbones 1\n"
+        "device 0 preamble\ndevice 0 steady 0\n",
+        "group_size 1\nnum_backbones 1\n"
+        "device 0 preamble 0\ndevice 0 steady xyz\n",
+        "group_size 1\nnum_backbones 1\n"
+        "device 0 preamble 0 junk\ndevice 0 steady 0\n",
+        "group_size 1\nnum_backbones 1x\n"
+        "device 0 preamble 0\ndevice 0 steady 0\n",
+        "group_size 1\nnum_backbones 1 junk\n"
+        "device 0 preamble 0\ndevice 0 steady 0\n"}) {
+    SCOPED_TRACE(body);
+    EXPECT_THROW((void)program_from_string("dpipe-program v1\n" + body),
+                 std::invalid_argument);
+  }
 }
 
 TEST(Serialize, RejectsGroupSizeTheInputCannotBack) {

@@ -463,17 +463,7 @@ TEST(Interleaved, PlannerSearchesTheVAxis) {
   EXPECT_GE(plan.config.vstages, 1);
 }
 
-TEST(Interleaved, DeprecatedOneReplicaAliasAndFamilyGuards) {
-  // one_replica_per_stage is a deprecated alias of the placement
-  // predicate: setting either sets both.
-  PlannerOptions options;
-  options.global_batch = 64.0;
-  options.one_replica_per_stage = true;
-  const Planner planner(make_stable_diffusion_v21(), make_p4de_cluster(1),
-                        options);
-  EXPECT_TRUE(planner.options().require_bindable_placement);
-  EXPECT_TRUE(planner.options().one_replica_per_stage);
-
+TEST(Interleaved, VStagesRequireTheInterleavedFamily) {
   // vstage candidates > 1 without the interleaved family contradict the
   // search space; the ctor rejects them.
   PlannerOptions bad;

@@ -95,6 +95,17 @@ PlanRequest edge_value_request() {
   return request;
 }
 
+/// The v1 spelling of the v2 request text `v2`: the same request under the
+/// v1 header, with the `one_replica=` and `prune=` fields v2 dropped.
+std::string as_v1_request_text(std::string v2) {
+  const std::string header = "dpipe-plan-request v2\n";
+  EXPECT_EQ(v2.rfind(header, 0), 0u);
+  v2.replace(0, header.size(), "dpipe-plan-request v1\n");
+  v2.insert(v2.find(" int_micro="), " one_replica=0");
+  v2.insert(v2.find(" bindable="), " prune=0");
+  return v2;
+}
+
 /// `text` with the value that follows the first `key` at or after `from`
 /// (up to the next space or newline) replaced by `value`.
 std::string with_value(std::string text, const std::string& key,
@@ -146,13 +157,22 @@ TEST(PlanFingerprint, ResultInvisibleOptionsDoNotFragmentTheCache) {
   const PlanRequest base = small_request();
   PlanRequest tuned = base;
   tuned.options.search_threads = 7;
-  tuned.options.parallel_work_threshold = 0.0;
-  tuned.options.enable_stage_cache = false;
+  StageCostStore store;
+  tuned.options.cache_store = &store;
   EXPECT_EQ(canonical_request_text(base), canonical_request_text(tuned));
-  // enable_pruning changes the explored list, so it IS identity.
-  PlanRequest pruned = base;
-  pruned.options.enable_pruning = true;
-  EXPECT_NE(canonical_request_text(base), canonical_request_text(pruned));
+  // The placement predicate changes the explored grid, so it IS identity.
+  PlanRequest bindable = base;
+  bindable.options.require_bindable_placement = true;
+  EXPECT_NE(canonical_request_text(base), canonical_request_text(bindable));
+}
+
+TEST(PlanFingerprint, V1RequestTextFailsWithInvalidArgument) {
+  const std::string v2 = canonical_request_text(small_request());
+  ASSERT_NO_THROW((void)parse_request_text(v2));
+  const std::string v1 = as_v1_request_text(v2);
+  EXPECT_NE(v1.find(" one_replica=0 "), std::string::npos);
+  EXPECT_NE(v1.find(" prune=0 "), std::string::npos);
+  EXPECT_THROW((void)parse_request_text(v1), std::invalid_argument);
 }
 
 TEST(PlanFingerprint, DistinctInputsGetDistinctFingerprints) {
@@ -198,11 +218,11 @@ TEST(PlanFingerprint, GoldenCanonicalBytes) {
   };
   const Golden goldens[] = {
       {make_stable_diffusion_v21(), 2, 512.0,
-       "2876b495c190f613959c2e25a44d9e34", 13345,
+       "6b09dacab4f513037520d29804d39a54", 13323,
        "c13c3cc4e51646815530c7eeed4f63e2",
        "d4c2532cfab5953e7daf613180ea20fe",
        "20e97d4b46e702bae46adc94cac20b26", 8643},
-      {make_cdm_lsun(), 1, 128.0, "57eb412255c608f6f9fc01316caa4abb", 10757,
+      {make_cdm_lsun(), 1, 128.0, "67b80e0fa63b85720a2de9104d1fc7d1", 10735,
        "5a273b6a4d9bda1985e5efc09d56df75",
        "ac6de2522f01667389e269e1f74df27b",
        "b6f6c463fc1b4d79e833c37accc772a9", 4216},
@@ -251,7 +271,7 @@ TEST(PlanFingerprint, HostileNumbersFailWithInvalidArgument) {
   // options, candidate lists, profiler.
   for (const std::string key :
        {" fwd=", " act=", "self_conditioning ", "intra ", "global_batch=",
-        " prune=", "micro_candidates 2 ", "noise ", "repeats "}) {
+        " int_micro=", "micro_candidates 2 ", "noise ", "repeats "}) {
     for (const std::string& mutant : hostile_numbers(text, key)) {
       SCOPED_TRACE(key);
       EXPECT_THROW((void)parse_request_text(mutant), std::invalid_argument);
@@ -475,6 +495,22 @@ TEST(PlanStore, LoadsEntryWithEdgeValueNumbers) {
   EXPECT_EQ(report.corrupt_dropped, 0u);
   ASSERT_EQ(report.plans.size(), 1u);
   expect_entries_identical(entry, *report.plans[0]);
+}
+
+TEST(PlanStore, V1EntryIsDroppedAndDeleted) {
+  // A plan persisted under the v1 request text, correctly fingerprinted:
+  // its request no longer parses, so a warm start deletes the file
+  // instead of serving it.
+  CachedPlan entry = real_entry();
+  entry.request_text = as_v1_request_text(entry.request_text);
+  entry.fingerprint = fingerprint_bytes(entry.request_text);
+  PlanStore store(scratch_dir("store_v1_entry"));
+  store.put(entry);
+  EXPECT_EQ(store.size(), 1u);
+  const PlanStore::LoadReport report = store.load_all();
+  EXPECT_EQ(report.plans.size(), 0u);
+  EXPECT_EQ(report.corrupt_dropped, 1u);
+  EXPECT_EQ(store.size(), 0u);  // Deleted from disk, not just skipped.
 }
 
 TEST(PlanStore, HostileNumbersFailWithInvalidArgument) {

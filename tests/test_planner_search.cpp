@@ -13,6 +13,7 @@
 #include "core/partition/brute_force.h"
 #include "core/partition/stage_cache.h"
 #include "core/planner/planner.h"
+#include "core/schedule/schedule.h"
 #include "model/zoo.h"
 
 namespace dpipe {
@@ -201,6 +202,81 @@ PartitionOptions small_partition_opts() {
   return opts;
 }
 
+/// PartitionOptions of every shape-valid (S, M, D) combo of the planner's
+/// default candidate grid for `model` on `cluster` at the default global
+/// batch, built the way Planner::evaluate builds them.
+std::vector<PartitionOptions> default_grid(const ModelDesc& model,
+                                           const ClusterSpec& cluster) {
+  const int world = cluster.world_size();
+  PlannerOptions grid;
+  Planner::apply_default_candidates(grid, world);
+  std::vector<PartitionOptions> combos;
+  for (const int D : grid.group_candidates) {
+    for (const int S : grid.stage_candidates) {
+      for (const int M : grid.micro_candidates) {
+        const int dp = world / D;
+        const double micro = grid.global_batch / dp / M;
+        bool valid = world % D == 0 && D % S == 0 && micro >= 1.0;
+        for (const int b : model.backbone_ids) {
+          valid = valid && S <= model.components[b].num_layers();
+        }
+        if (!valid) {
+          continue;
+        }
+        PartitionOptions opts;
+        opts.num_stages = S;
+        opts.num_microbatches = M;
+        opts.group_size = D;
+        opts.data_parallel_degree = dp;
+        opts.microbatch_size = micro;
+        opts.self_conditioning = model.self_conditioning;
+        opts.self_cond_prob = model.self_cond_prob;
+        combos.push_back(opts);
+      }
+    }
+  }
+  return combos;
+}
+
+std::string combo_name(const PartitionOptions& opts) {
+  return "S=" + std::to_string(opts.num_stages) +
+         " M=" + std::to_string(opts.num_microbatches) +
+         " D=" + std::to_string(opts.group_size);
+}
+
+void expect_stages_identical(const std::vector<StagePlan>& a,
+                             const std::vector<StagePlan>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t s = 0; s < a.size(); ++s) {
+    EXPECT_EQ(a[s].layer_begin, b[s].layer_begin);
+    EXPECT_EQ(a[s].layer_end, b[s].layer_end);
+    EXPECT_EQ(a[s].device_ranks, b[s].device_ranks);
+  }
+}
+
+void expect_ops_identical(const std::vector<PipelineOp>& a,
+                          const std::vector<PipelineOp>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].kind, b[i].kind);
+    EXPECT_EQ(a[i].backbone, b[i].backbone);
+    EXPECT_EQ(a[i].stage, b[i].stage);
+    EXPECT_EQ(a[i].micro, b[i].micro);
+    EXPECT_EQ(a[i].start_ms, b[i].start_ms);
+    EXPECT_EQ(a[i].end_ms, b[i].end_ms);
+  }
+}
+
+void expect_schedules_identical(const Schedule& a, const Schedule& b) {
+  EXPECT_EQ(a.makespan_ms, b.makespan_ms);
+  EXPECT_EQ(a.compute_makespan_ms, b.compute_makespan_ms);
+  ASSERT_EQ(a.devices.size(), b.devices.size());
+  for (std::size_t d = 0; d < a.devices.size(); ++d) {
+    expect_ops_identical(a.devices[d].ops, b.devices[d].ops);
+  }
+  expect_ops_identical(a.link_ops, b.link_ops);
+}
+
 TEST(StageCostCache, PartitionWithCacheIsBitIdentical) {
   const DbFixture f;
   const CommModel comm(f.cluster);
@@ -229,6 +305,30 @@ TEST(StageCostCache, PartitionWithCacheIsBitIdentical) {
   EXPECT_EQ(warm.upper_bound_ms, cached.upper_bound_ms);
   EXPECT_EQ(cache.misses(), cold_misses);
   EXPECT_GT(cache.hits(), 0u);
+
+  // The no-cache reference over the planner's whole default grid: for every
+  // shape-valid combo, the partition and the 1F1B schedule built on it are
+  // bit-identical with a fresh cache and with none.
+  const ScheduleBuilder builder(f.db, comm);
+  const int b = f.backbone();
+  const std::vector<PartitionOptions> grid = default_grid(f.model, f.cluster);
+  EXPECT_GE(grid.size(), 20u);
+  for (const PartitionOptions& combo : grid) {
+    SCOPED_TRACE(combo_name(combo));
+    const PartitionResult reference =
+        partitioner.partition_single(b, combo, nullptr);
+    StageCostCache fresh;
+    const PartitionResult memoized =
+        partitioner.partition_single(b, combo, &fresh);
+    EXPECT_EQ(reference.t0_ms, memoized.t0_ms);
+    EXPECT_EQ(reference.y_ms, memoized.y_ms);
+    EXPECT_EQ(reference.feedback_ms, memoized.feedback_ms);
+    EXPECT_EQ(reference.upper_bound_ms, memoized.upper_bound_ms);
+    expect_stages_identical(reference.stages, memoized.stages);
+    expect_schedules_identical(
+        builder.build_1f1b(b, reference.stages, combo, nullptr),
+        builder.build_1f1b(b, memoized.stages, combo, &fresh));
+  }
 }
 
 TEST(StageCostCache, StageCostHitReturnsIdenticalFields) {
@@ -323,16 +423,35 @@ TEST(StageCostCache, BidirectionalWithCacheIsBitIdentical) {
   EXPECT_EQ(plain.t0_ms, cached.t0_ms);
   EXPECT_EQ(plain.y_ms, cached.y_ms);
   EXPECT_EQ(plain.upper_bound_ms, cached.upper_bound_ms);
-  ASSERT_EQ(plain.down_stages.size(), cached.down_stages.size());
-  ASSERT_EQ(plain.up_stages.size(), cached.up_stages.size());
-  for (std::size_t s = 0; s < plain.down_stages.size(); ++s) {
-    EXPECT_EQ(plain.down_stages[s].layer_begin,
-              cached.down_stages[s].layer_begin);
-    EXPECT_EQ(plain.down_stages[s].layer_end, cached.down_stages[s].layer_end);
-    EXPECT_EQ(plain.up_stages[s].layer_begin, cached.up_stages[s].layer_begin);
-    EXPECT_EQ(plain.up_stages[s].layer_end, cached.up_stages[s].layer_end);
-  }
+  expect_stages_identical(plain.down_stages, cached.down_stages);
+  expect_stages_identical(plain.up_stages, cached.up_stages);
   EXPECT_GT(cache.hits(), 0u);
+
+  // The no-cache reference over the planner's whole default CDM grid: the
+  // co-partition and the bidirectional schedule built on it are
+  // bit-identical with a fresh cache and with none.
+  const ScheduleBuilder builder(db, comm);
+  const std::vector<PartitionOptions> grid = default_grid(model, cluster);
+  EXPECT_GE(grid.size(), 20u);
+  for (const PartitionOptions& combo : grid) {
+    SCOPED_TRACE(combo_name(combo));
+    const BiPartitionResult reference =
+        partition_bidirectional(partitioner, b0, b1, combo, nullptr);
+    StageCostCache fresh;
+    const BiPartitionResult memoized =
+        partition_bidirectional(partitioner, b0, b1, combo, &fresh);
+    EXPECT_EQ(reference.t0_ms, memoized.t0_ms);
+    EXPECT_EQ(reference.y_ms, memoized.y_ms);
+    EXPECT_EQ(reference.m_cdm, memoized.m_cdm);
+    EXPECT_EQ(reference.upper_bound_ms, memoized.upper_bound_ms);
+    expect_stages_identical(reference.down_stages, memoized.down_stages);
+    expect_stages_identical(reference.up_stages, memoized.up_stages);
+    expect_schedules_identical(
+        builder.build_bidirectional(b0, reference.down_stages, b1,
+                                    reference.up_stages, combo, nullptr),
+        builder.build_bidirectional(b0, memoized.down_stages, b1,
+                                    memoized.up_stages, combo, &fresh));
+  }
 }
 
 // --- Planner search parity --------------------------------------------------
@@ -344,17 +463,10 @@ struct ExecutorWidth4 {
   ~ExecutorWidth4() { set_executor_width(0); }
 };
 
-Plan plan_with(const ModelDesc& model, int threads, bool cache, bool pruning,
-               double global_batch = 128.0,
-               double parallel_work_threshold = 0.0) {
+Plan plan_with(const ModelDesc& model, int threads) {
   PlannerOptions opts;
-  opts.global_batch = global_batch;
+  opts.global_batch = 128.0;
   opts.search_threads = threads;
-  opts.enable_stage_cache = cache;
-  opts.enable_pruning = pruning;
-  // 0 = always fan out; the parity tests below pin the execution width they
-  // assert on. AdaptiveGranularity* cover the default threshold.
-  opts.parallel_work_threshold = parallel_work_threshold;
   const Planner planner(model, make_p4de_cluster(1), opts);
   return planner.plan();
 }
@@ -371,110 +483,21 @@ void expect_plans_identical(const Plan& a, const Plan& b) {
 TEST(PlannerSearch, BitIdenticalAcrossThreadCounts) {
   const ExecutorWidth4 width;
   const ModelDesc model = make_stable_diffusion_v21();
-  const Plan seq = plan_with(model, 1, true, false);
-  const Plan two = plan_with(model, 2, true, false);
-  const Plan auto_sized = plan_with(model, 0, true, false);
+  const Plan seq = plan_with(model, 1);
+  const Plan two = plan_with(model, 2);
+  const Plan auto_sized = plan_with(model, 0);
   expect_plans_identical(seq, two);
   expect_plans_identical(seq, auto_sized);
   EXPECT_EQ(two.search.threads, 2);
   EXPECT_EQ(seq.search.threads, 1);
 }
 
-TEST(PlannerSearch, BitIdenticalWithAndWithoutStageCache) {
-  const ModelDesc model = make_stable_diffusion_v21();
-  const Plan with = plan_with(model, 4, true, false);
-  const Plan without = plan_with(model, 4, false, false);
-  expect_plans_identical(with, without);
-  EXPECT_GT(with.search.cache_hits, 0u);
-  EXPECT_EQ(without.search.cache_hits, 0u);
-  EXPECT_EQ(without.search.cache_misses, 0u);
-}
-
 TEST(PlannerSearch, CdmBidirectionalParity) {
   const ModelDesc model = make_cdm_lsun();
-  const Plan seq = plan_with(model, 1, true, false);
-  const Plan par = plan_with(model, 4, true, false);
+  const Plan seq = plan_with(model, 1);
+  const Plan par = plan_with(model, 4);
   expect_plans_identical(seq, par);
   EXPECT_GT(par.search.cache_hits, 0u);
-}
-
-TEST(PlannerSearch, PruningKeepsWinnerAndProgramExact) {
-  for (const ModelDesc& model :
-       {make_stable_diffusion_v21(), make_cdm_lsun()}) {
-    const Plan baseline = plan_with(model, 2, true, false);
-    const Plan pruned = plan_with(model, 2, true, true);
-    // The winner and its lowered program are exactly preserved.
-    EXPECT_TRUE(baseline.config == pruned.config);
-    EXPECT_EQ(program_to_string(baseline.program),
-              program_to_string(pruned.program));
-    // Explored with pruning is an in-order subsequence of the baseline.
-    std::size_t j = 0;
-    for (const PlanConfig& c : pruned.explored) {
-      while (j < baseline.explored.size() && !(baseline.explored[j] == c)) {
-        ++j;
-      }
-      ASSERT_LT(j, baseline.explored.size())
-          << "pruned run explored a config the baseline did not";
-      ++j;
-    }
-    // Every omitted config is provably no better than the winner.
-    for (const PlanConfig& c : baseline.explored) {
-      bool kept = false;
-      for (const PlanConfig& p : pruned.explored) {
-        if (p == c) {
-          kept = true;
-          break;
-        }
-      }
-      if (!kept && c.memory_feasible) {
-        EXPECT_GE(c.predicted_iteration_ms,
-                  baseline.config.predicted_iteration_ms);
-      }
-    }
-    EXPECT_EQ(pruned.search.combos_evaluated + pruned.search.combos_pruned,
-              pruned.search.combos_total);
-  }
-}
-
-TEST(PlannerSearch, AdaptiveGranularityRunsSmallGridsSequentially) {
-  const ExecutorWidth4 width;
-  // SD v2.1's grid is small enough that thread fan-out costs more than it
-  // saves (the BENCH_planner small-grid regression); the default threshold
-  // keeps it sequential even when threads were requested. The plan itself
-  // must be bit-identical to a forced-parallel search.
-  const ModelDesc model = make_stable_diffusion_v21();
-  const Plan adaptive = plan_with(model, 4, true, false, 128.0,
-                                  PlannerOptions{}.parallel_work_threshold);
-  EXPECT_EQ(adaptive.search.threads, 1);
-  const Plan forced = plan_with(model, 4, true, false, 128.0, 0.0);
-  EXPECT_EQ(forced.search.threads, 4);
-  expect_plans_identical(adaptive, forced);
-}
-
-TEST(PlannerSearch, AdaptiveGranularityKeepsLargeGridsParallel) {
-  const ExecutorWidth4 width;
-  // CDM's bidirectional grid is an order of magnitude more work per combo;
-  // the same default threshold leaves it parallel.
-  const ModelDesc model = make_cdm_lsun();
-  const Plan adaptive = plan_with(model, 4, true, false, 128.0,
-                                  PlannerOptions{}.parallel_work_threshold);
-  EXPECT_EQ(adaptive.search.threads, 4);
-  expect_plans_identical(adaptive, plan_with(model, 4, true, false));
-}
-
-TEST(PlannerSearch, ComboWorkEstimateScalesWithGridShape) {
-  const ModelDesc sd = make_stable_diffusion_v21();
-  const ModelDesc cdm = make_cdm_lsun();
-  PlannerOptions opts;
-  opts.global_batch = 128.0;
-  const Planner sd_planner(sd, make_p4de_cluster(1), opts);
-  const Planner cdm_planner(cdm, make_p4de_cluster(1), opts);
-  // More placement freedom = more DP states; bidirectional models pay the
-  // pairing factor on top.
-  EXPECT_GT(sd_planner.combo_work_estimate(4, 8, 8),
-            sd_planner.combo_work_estimate(4, 8, 4));
-  EXPECT_GT(cdm_planner.combo_work_estimate(4, 8, 8),
-            sd_planner.combo_work_estimate(4, 8, 8));
 }
 
 TEST(PlannerSearch, StageCostStoreMakesSecondPlanFullyWarm) {
@@ -505,7 +528,7 @@ TEST(PlannerSearch, RuntimeBindableRestrictionsFilterTheGrid) {
   const ModelDesc model = make_stable_diffusion_v21();
   PlannerOptions opts;
   opts.global_batch = 128.0;
-  opts.one_replica_per_stage = true;
+  opts.require_bindable_placement = true;
   opts.integer_microbatches = true;
   const Plan plan = Planner(model, make_p4de_cluster(1), opts).plan();
   for (const PlanConfig& c : plan.explored) {
@@ -518,18 +541,17 @@ TEST(PlannerSearch, RuntimeBindableRestrictionsFilterTheGrid) {
   }
   // The restriction strictly shrinks the explored grid.
   PlannerOptions full = opts;
-  full.one_replica_per_stage = false;
+  full.require_bindable_placement = false;
   full.integer_microbatches = false;
   const Plan wide = Planner(model, make_p4de_cluster(1), full).plan();
   EXPECT_GT(wide.explored.size(), plan.explored.size());
 }
 
 TEST(PlannerSearch, StatsAndWallTimesPopulated) {
-  const Plan plan = plan_with(make_stable_diffusion_v21(), 0, true, false);
+  const Plan plan = plan_with(make_stable_diffusion_v21(), 0);
   EXPECT_GE(plan.search.threads, 1);
   EXPECT_GT(plan.search.combos_total, 0);
   EXPECT_EQ(plan.search.combos_evaluated, plan.search.combos_total);
-  EXPECT_EQ(plan.search.combos_pruned, 0);
   EXPECT_GT(plan.search.search_wall_ms, 0.0);
   EXPECT_GT(plan.partitioning_wall_ms, 0.0);
   EXPECT_GT(plan.filling_wall_ms, 0.0);
