@@ -415,12 +415,20 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Roofline: measured register-tile ceiling at the active SIMD level
-  // (single thread, L1-resident — the compute bound the packed kernels
-  // chase), and the fraction each shape achieves at width 1.
-  const double peak = measured_peak_gflops();
-  std::printf("\nroofline (%s): single-thread peak %.2f GF/s\n",
-              simd_level_name(simd_level()), peak);
+  // Roofline: the single-thread ceiling at the active SIMD level, and the
+  // fraction each shape achieves at width 1. The L1-resident register-tile
+  // probe alone can read below the packed GEMM on a time-shared host, so
+  // the ceiling is the larger of the probe and the best width-1 GEMM rate
+  // of this run.
+  const double probe = measured_peak_gflops();
+  double best_gemm = 0.0;
+  for (const MatmulRow& r : matmul_rows) {
+    best_gemm = std::max(best_gemm, r.blocked_w1_gflops);
+  }
+  const double peak = std::max(probe, best_gemm);
+  std::printf("\nroofline (%s): single-thread peak %.2f GF/s (probe %.2f, "
+              "best GEMM %.2f)\n",
+              simd_level_name(simd_level()), peak, probe, best_gemm);
   std::printf("%-4s %5s %5s %5s %12s\n", "op", "m", "k", "n", "w1_pct");
   for (const MatmulRow& r : matmul_rows) {
     std::printf("%-4s %5d %5d %5d %11.1f%%\n", r.op.c_str(), r.m, r.k, r.n,
@@ -502,6 +510,8 @@ int main(int argc, char** argv) {
          << (i + 1 < matmul_rows.size() ? "," : "") << "\n";
   }
   json << "  ],\n  \"roofline\": {\n    \"peak_gflops\": " << peak
+       << ",\n    \"probe_gflops\": " << probe
+       << ",\n    \"best_gemm_gflops\": " << best_gemm
        << ",\n    \"rows\": [\n";
   for (std::size_t i = 0; i < matmul_rows.size(); ++i) {
     const MatmulRow& r = matmul_rows[i];

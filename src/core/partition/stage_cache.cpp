@@ -18,24 +18,6 @@ void StageCostCache::insert(const Key& key, const StageCost& cost) {
   map_.emplace(key, cost);
 }
 
-void StageCostCache::merge_from(const StageCostCache& other) {
-  if (!other.bound_.has_value() && other.map_.empty()) {
-    return;  // Nothing was computed under the private lease.
-  }
-  if (!bound_.has_value()) {
-    bound_ = other.bound_;
-    map_.reserve(1024);
-  } else if (other.bound_.has_value()) {
-    DPIPE_ENSURE(*bound_ == *other.bound_,
-                 "StageCostCache merge across different partition options");
-  }
-  for (const auto& [key, cost] : other.map_) {
-    map_.emplace(key, cost);
-  }
-  hits_ += other.hits_;
-  misses_ += other.misses_;
-}
-
 void StageCostCache::bind(const PartitionOptions& opts) {
   if (bound_.has_value()) {
     // Hot path (stage_cost verifies on every call): compare in place
@@ -66,133 +48,20 @@ void StageCostCache::bind(const PartitionOptions& opts) {
   map_.reserve(1024);  // The DP touches hundreds of distinct stage keys.
 }
 
-StageCostStore::Lease& StageCostStore::Lease::operator=(
-    Lease&& other) noexcept {
-  if (this != &other) {
-    release();
-    store_ = other.store_;
-    key_ = std::move(other.key_);
-    cache_ = std::move(other.cache_);
-    private_ = other.private_;
-    other.store_ = nullptr;
-    other.cache_ = nullptr;
-  }
-  return *this;
-}
-
-void StageCostStore::Lease::release() {
-  if (store_ != nullptr && cache_ != nullptr) {
-    store_->release_lease(key_, private_, cache_);
-  }
-  store_ = nullptr;
-  cache_ = nullptr;
-}
-
-StageCostStore::Lease StageCostStore::acquire(
-    const std::string& context, int world, int num_stages,
-    int num_microbatches, int group_size, int data_parallel_degree,
-    double microbatch_size) {
-  Key key{context,    world, num_stages, num_microbatches, group_size,
-          data_parallel_degree, microbatch_size};
-  Lease lease;
-  lease.store_ = this;
-  lease.key_ = key;
-  const std::lock_guard<std::mutex> lock(mutex_);
-  ++stats_.acquires;
-  Entry& entry = map_[std::move(key)];
-  if (entry.cache == nullptr) {
-    entry.cache = std::make_shared<StageCostCache>();
-  }
-  if (!entry.busy) {
-    entry.busy = true;
-    lease.cache_ = entry.cache;
-    lease.private_ = false;
-    ++stats_.shared_grants;
-  } else {
-    // Contended: hand out a fresh private cache and fold it back on
-    // release. Costs are deterministic, so the merge is exact; only the
-    // warmth of this one evaluation is at stake.
-    lease.cache_ = std::make_shared<StageCostCache>();
-    lease.private_ = true;
-    ++stats_.private_grants;
-  }
-  return lease;
-}
-
-void StageCostStore::release_lease(
-    const Key& key, bool was_private,
-    const std::shared_ptr<StageCostCache>& cache) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  const auto it = map_.find(key);
-  if (!was_private) {
-    if (it != map_.end() && it->second.cache == cache) {
-      // Fold any private caches that released while this lease held the
-      // entry, then hand it back.
-      for (const auto& pending : it->second.pending) {
-        it->second.cache->merge_from(*pending);
-        ++stats_.merged_back;
-      }
-      it->second.pending.clear();
-      it->second.busy = false;
-    } else {
-      // The entry was invalidated (or replaced) while leased; the holder's
-      // shared_ptr was the last reference and the cache's warmth is lost.
-      ++stats_.dropped_merges;
-    }
-    return;
-  }
-  if (it == map_.end()) {
-    ++stats_.dropped_merges;  // Invalidated while this evaluation ran.
-  } else if (it->second.busy) {
-    // The shared lease is still out; it would race to merge into its cache
-    // now. Park the private cache on the entry — the shared release folds
-    // it in.
-    it->second.pending.push_back(cache);
-  } else {
-    it->second.cache->merge_from(*cache);
-    ++stats_.merged_back;
+StageCostStore::Claim::Claim(StageCostStore& store) : store_(store) {
+  if (store_.claimed_.exchange(true, std::memory_order_acquire)) {
+    throw StageCostStoreBusy(
+        "StageCostStore is in use by another plan(); a store has one owner "
+        "at a time");
   }
 }
 
-std::size_t StageCostStore::invalidate(const std::string& context) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  std::size_t removed = 0;
-  for (auto it = map_.begin(); it != map_.end();) {
-    if (it->first.context == context) {
-      it = map_.erase(it);
-      ++removed;
-    } else {
-      ++it;
-    }
-  }
-  stats_.invalidated += removed;
-  return removed;
+StageCostStore::Claim::~Claim() {
+  store_.claimed_.store(false, std::memory_order_release);
 }
 
-void StageCostStore::clear() {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  stats_.invalidated += map_.size();
-  map_.clear();
-}
-
-std::size_t StageCostStore::size() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return map_.size();
-}
-
-StageCostStore::Stats StageCostStore::stats() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  Stats out = stats_;
-  out.entries = map_.size();
-  for (const auto& [key, entry] : map_) {
-    // Busy entries are being mutated by their lease holder; reading their
-    // counters would race. Idle entries are quiescent under the mutex.
-    if (!entry.busy && entry.cache != nullptr) {
-      out.cost_hits += entry.cache->hits();
-      out.cost_misses += entry.cache->misses();
-    }
-  }
-  return out;
+StageCostCache& StageCostStore::Claim::cache(const Key& key) {
+  return store_.map_[key];
 }
 
 }  // namespace dpipe

@@ -1,10 +1,10 @@
 #pragma once
 
+#include <atomic>
 #include <cstddef>
 #include <map>
-#include <memory>
-#include <mutex>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <tuple>
 #include <unordered_map>
@@ -60,14 +60,6 @@ class StageCostCache {
   [[nodiscard]] std::size_t hits() const { return hits_; }
   [[nodiscard]] std::size_t misses() const { return misses_; }
 
-  /// Copies every entry absent from this cache out of `other` (values for
-  /// shared keys are identical by the determinism of stage_cost, so
-  /// insert-if-absent is exact) and folds its hit/miss counters in. Both
-  /// caches must be bound to the same fingerprint (or one unbound);
-  /// DPIPE_ENSURE otherwise. Used by StageCostStore to fold a contended
-  /// private cache back into the shared entry.
-  void merge_from(const StageCostCache& other);
-
  private:
   struct KeyHash {
     std::size_t operator()(const Key& key) const {
@@ -106,24 +98,27 @@ class StageCostCache {
   mutable std::size_t misses_ = 0;
 };
 
-/// A persistent, thread-safe pool of StageCostCaches keyed by the full
-/// evaluation context — a caller-supplied context fingerprint (model +
-/// cluster + profiler, so tenants with different profiles never share
-/// costs) plus world size and the (S, M, D, dp, microbatch) combo — so
-/// costs memoized by one Planner::plan() survive into later plans: the
-/// warm re-plan path of elastic recovery and the plan service's shared
-/// cross-tenant store. Keying by the whole context keeps every per-combo
-/// cache fingerprint-valid by construction: a key collision implies
-/// identical PartitionOptions, so bind() never trips.
+/// Thrown when a Planner::plan() reaches a StageCostStore that another
+/// plan() is using at the same time: a store has one owner at a time.
+class StageCostStoreBusy : public std::logic_error {
+ public:
+  using std::logic_error::logic_error;
+};
+
+/// A map of per-combo StageCostCaches that outlives one Planner::plan(), so
+/// a later plan over the same grid replays its stage costs instead of
+/// recomputing them. Keyed by the full evaluation context — a caller-
+/// supplied context fingerprint (model + cluster + profiler, so plans with
+/// different profiles never share costs) plus world size and the (S, M, D,
+/// dp, microbatch) combo — which keeps every cache fingerprint-valid by
+/// construction: a key collision implies identical PartitionOptions, so
+/// bind() never trips. Nothing is evicted; the caller owns the lifetime.
 ///
-/// Concurrency model: the map is mutex-guarded, and caches are handed out
-/// through exclusive leases. acquire() grants the shared entry when it is
-/// free; when another lease already holds it, the caller gets a fresh
-/// private cache instead, whose contents are merged back into the shared
-/// entry on release (insert-if-absent — values are deterministic, so the
-/// merge is exact). StageCostCache itself stays single-threaded; the lease
-/// protocol is what makes concurrent Planner::plan() calls over one store
-/// race-free.
+/// Single owner: plan() claims the store for its whole search, looks up
+/// every combo's cache on the calling thread before it fans out, and hands
+/// each cache to exactly one search task. A second claim while the first
+/// is held throws StageCostStoreBusy, so concurrent plans over one store
+/// fail loudly instead of racing.
 class StageCostStore {
  public:
   struct Key {
@@ -145,83 +140,30 @@ class StageCostStore {
     }
   };
 
-  struct Stats {
-    std::size_t entries = 0;         ///< Distinct (context, combo) caches.
-    std::size_t acquires = 0;
-    std::size_t shared_grants = 0;   ///< Leases that got the shared entry.
-    std::size_t private_grants = 0;  ///< Contended leases (private cache).
-    std::size_t merged_back = 0;     ///< Private caches folded into entries
-                                     ///< (immediately or via the pending
-                                     ///< queue).
-    std::size_t dropped_merges = 0;  ///< Caches whose warmth was lost: the
-                                     ///< entry was invalidated while the
-                                     ///< lease was out.
-    std::size_t invalidated = 0;     ///< Entries removed by invalidate/clear.
-    std::size_t cost_hits = 0;       ///< Summed over idle entries' caches.
-    std::size_t cost_misses = 0;
-  };
-
-  /// An exclusive handle on one combo's cache. Movable, not copyable; the
-  /// destructor releases the entry (merging a private cache back into the
-  /// shared one when possible). cache() stays valid for the lease lifetime
-  /// even if the entry is invalidated concurrently.
-  class Lease {
+  /// Exclusive use of the store, released on destruction. Throws
+  /// StageCostStoreBusy if another Claim on the same store is alive.
+  class Claim {
    public:
-    Lease() = default;
-    Lease(Lease&& other) noexcept { *this = std::move(other); }
-    Lease& operator=(Lease&& other) noexcept;
-    Lease(const Lease&) = delete;
-    Lease& operator=(const Lease&) = delete;
-    ~Lease() { release(); }
+    explicit Claim(StageCostStore& store);
+    ~Claim();
+    Claim(const Claim&) = delete;
+    Claim& operator=(const Claim&) = delete;
 
-    [[nodiscard]] StageCostCache* cache() const { return cache_.get(); }
-    [[nodiscard]] explicit operator bool() const { return cache_ != nullptr; }
-    void release();
+    /// The cache for `key`, created empty on first use. The reference
+    /// stays valid for the store's lifetime.
+    [[nodiscard]] StageCostCache& cache(const Key& key);
 
    private:
-    friend class StageCostStore;
-    StageCostStore* store_ = nullptr;
-    Key key_;
-    std::shared_ptr<StageCostCache> cache_;
-    bool private_ = false;
+    StageCostStore& store_;
   };
 
-  /// Leases the cache for one (context, world, S, M, D, dp,
-  /// microbatch_size) evaluation context, creating the entry on first use.
-  /// Thread-safe.
-  [[nodiscard]] Lease acquire(const std::string& context, int world,
-                              int num_stages, int num_microbatches,
-                              int group_size, int data_parallel_degree,
-                              double microbatch_size);
-
-  /// Drops every entry whose context equals `context` (e.g. the
-  /// model/cluster fingerprint of an invalidated tenant). Outstanding
-  /// leases keep their caches alive; their release becomes a no-op merge.
-  /// Returns the number of entries removed.
-  std::size_t invalidate(const std::string& context);
-
-  /// Drops every entry.
-  void clear();
-
-  [[nodiscard]] std::size_t size() const;
-  [[nodiscard]] Stats stats() const;
+  /// Distinct (context, combo) caches. Not to be called while a Claim is
+  /// held on another thread.
+  [[nodiscard]] std::size_t size() const { return map_.size(); }
 
  private:
-  struct Entry {
-    std::shared_ptr<StageCostCache> cache;
-    bool busy = false;
-    /// Private caches released while the shared lease was out; folded into
-    /// `cache` when that lease returns (merging earlier would race with
-    /// its holder).
-    std::vector<std::shared_ptr<StageCostCache>> pending;
-  };
-
-  void release_lease(const Key& key, bool was_private,
-                     const std::shared_ptr<StageCostCache>& cache);
-
-  mutable std::mutex mutex_;
-  std::map<Key, Entry> map_;
-  Stats stats_;
+  std::atomic<bool> claimed_{false};
+  std::map<Key, StageCostCache> map_;
 };
 
 }  // namespace dpipe

@@ -255,12 +255,13 @@ Plan Planner::plan() const {
 
   const auto search_start = std::chrono::steady_clock::now();
 
-  // With a cache store, lease every shape-valid combo's persistent cache up
-  // front; the store is thread-safe and each lease is exclusive, so one
-  // search thread owns each cache for the duration of the search.
-  std::vector<StageCostStore::Lease> leases(n);
+  // With a cache store, claim it for the whole search and look up every
+  // shape-valid combo's persistent cache here, on the calling thread; each
+  // cache then belongs to exactly one search task.
+  std::optional<StageCostStore::Claim> claim;
   std::vector<StageCostCache*> combo_cache(n, nullptr);
   if (options_.cache_store != nullptr) {
+    claim.emplace(*options_.cache_store);
     const std::string context = cost_context_fingerprint();
     const int world = cluster_.world_size();
     for (std::size_t i = 0; i < n; ++i) {
@@ -273,10 +274,8 @@ Plan Planner::plan() const {
         // one grid (V > 1 forces D == S, so any same-D combo with
         // S' == S*V fails D % S' == 0).
         const int dp = world / c.D;
-        leases[i] = options_.cache_store->acquire(
-            context, world, c.S * c.V, c.M, c.D, dp,
-            options_.global_batch / dp / c.M);
-        combo_cache[i] = leases[i].cache();
+        combo_cache[i] = &claim->cache({context, world, c.S * c.V, c.M, c.D,
+                                        dp, options_.global_batch / dp / c.M});
       }
     }
   }

@@ -51,14 +51,15 @@ struct PlannerOptions {
   /// fractional micro-batches fine; the functional runtime slices real
   /// tensors and needs global_batch divisible by dp x M.
   bool integer_microbatches = false;
-  /// Optional cross-plan stage-cost persistence: combos lease their
-  /// StageCostCache here (keyed by the planner's model/cluster/profiler
-  /// context fingerprint plus world and combo, so reuse is always
-  /// fingerprint-valid) instead of a per-evaluation cache. The store is
-  /// thread-safe; one store may be shared across concurrent plan() calls
-  /// and across tenants (the plan service does both). Caller owns the
-  /// store and must keep it alive. nullptr = per-evaluation caches (the
-  /// default).
+  /// Optional cross-plan stage-cost persistence: combos take their
+  /// StageCostCache from this store (keyed by the planner's model/cluster/
+  /// profiler context fingerprint plus world and combo, so reuse is always
+  /// fingerprint-valid) instead of a per-evaluation cache, so a second plan
+  /// over the same grid is a pure cache replay. The store has one owner at
+  /// a time: a plan() that reaches it while another plan() holds it throws
+  /// StageCostStoreBusy. The store never evicts; the caller owns it and
+  /// must keep it alive. nullptr = per-evaluation caches (the default, and
+  /// what the plan service and elastic re-plans use).
   StageCostStore* cache_store = nullptr;
   ProfilerOptions profiler;    ///< Step-1 settings.
 };
@@ -135,7 +136,7 @@ class Planner {
 
   /// Fingerprint of everything the stage costs depend on — the grouped
   /// model, the cluster, and the profiler settings, in canonical bytes —
-  /// used to key this planner's leases in a shared StageCostStore.
+  /// used to key this planner's caches in a StageCostStore.
   [[nodiscard]] std::string cost_context_fingerprint() const;
 
  private:
@@ -149,7 +150,7 @@ class Planner {
     std::size_t cache_misses = 0;
   };
   /// `external_cache` (optional) is a pre-bound-or-empty StageCostCache
-  /// leased from options_.cache_store; nullptr = a per-evaluation cache.
+  /// from options_.cache_store; nullptr = a per-evaluation cache.
   /// Hit/miss stats in the returned Evaluation are deltas for this call
   /// either way.
   [[nodiscard]] std::optional<Evaluation> evaluate(

@@ -74,7 +74,6 @@ Plan ElasticRecoveryController::plan_for_world(int world) {
   // work in cross-iteration mode; otherwise the non-trainable part runs as
   // the per-iteration preamble, un-overlapped.
   popts.enable_fill = options_.config.cross_iteration;
-  popts.cache_store = &store_;
   // D == S combos over divisors of the world (dp = world / S); micro
   // counts over divisors of the global batch.
   popts.stage_candidates = divisors_up_to(world, num_modules_);

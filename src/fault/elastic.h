@@ -39,8 +39,8 @@ struct ElasticOptions {
 struct RecoveryStats {
   int faults = 0;   ///< Device losses absorbed.
   int replans = 0;  ///< Planner::plan() runs on shrunk clusters.
-  std::size_t stage_cache_hits = 0;    ///< StageCostStore hits, all
-                                       ///< re-plans (warm re-plan metric).
+  std::size_t stage_cache_hits = 0;    ///< Per-evaluation StageCostCache
+                                       ///< hits, summed over re-plans.
   std::size_t stage_cache_misses = 0;
   int resharded_tensors = 0;  ///< Parameter/moment tensors whose owning
                               ///< stage changed across all re-shards.
@@ -84,10 +84,11 @@ struct RecoveryPhase {
 /// partial wave), the controller salvages the last iteration boundary
 /// (salvage_checkpoint — sound because a crashed iteration can never have
 /// stepped an optimizer), re-runs the full Planner over the runtime's
-/// synthetic model for the shrunk cluster (StageCostStore keeps re-plans
-/// warm), re-bins the checkpoint onto the winning plan's stage cuts and dp
-/// width (reshard_checkpoint), and resumes a fresh ProgramInterpreter-
-/// driven trainer on the survivors. The resumed trajectory is bit-identical
+/// synthetic model for the shrunk cluster (each re-plan memoizes its own
+/// stage costs; none are kept across re-plans), re-bins the checkpoint
+/// onto the winning plan's stage cuts and dp width (reshard_checkpoint),
+/// and resumes a fresh ProgramInterpreter-driven trainer on the
+/// survivors. The resumed trajectory is bit-identical
 /// to a fresh (N-1)-device trainer restored from the same checkpoint.
 class ElasticRecoveryController {
  public:
@@ -100,8 +101,8 @@ class ElasticRecoveryController {
 
   /// Full Planner::plan() for a `world`-device cluster over the runtime
   /// model (trainer_planner_model), restricted to runtime-bindable combos
-  /// (one replica per stage, integer micro-batches). Warm across calls:
-  /// stage costs persist in the controller's StageCostStore.
+  /// (one replica per stage, integer micro-batches). Deterministic: two
+  /// calls for one world give the same plan and program bytes.
   [[nodiscard]] Plan plan_for_world(int world);
 
   /// Devices alive (initial world = stages x replicas; -1 per crash).
@@ -131,7 +132,6 @@ class ElasticRecoveryController {
   std::vector<double> losses_;
   std::vector<Tensor> final_params_;
   float replica_divergence_ = 0.0f;
-  StageCostStore store_;  ///< Persistent stage costs across re-plans.
 };
 
 }  // namespace dpipe::rt

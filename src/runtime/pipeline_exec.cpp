@@ -626,18 +626,24 @@ Tensor read_tensor(std::istream& in) {
   const int ndim = read_value<int>(in, "tensor rank");
   DPIPE_REQUIRE(ndim >= 0 && ndim <= 4, "checkpoint tensor rank invalid");
   std::vector<int> shape(ndim);
+  std::int64_t numel = 1;
   for (int d = 0; d < ndim; ++d) {
     shape[d] = read_value<int>(in, "tensor dim");
     DPIPE_REQUIRE(shape[d] >= 0, "checkpoint tensor dim invalid");
+    DPIPE_REQUIRE(!__builtin_mul_overflow(numel, shape[d], &numel),
+                  "checkpoint tensor element count overflows");
   }
-  Tensor t(shape);
-  float* data = t.data();
-  for (std::int64_t i = 0; i < t.numel(); ++i) {
+  // The header alone must not size the allocation: storage grows only as
+  // payload tokens arrive, so a short input with a huge shape fails as
+  // truncated instead of asking for the claimed bytes up front.
+  FloatStorage data;
+  data.reserve(static_cast<std::size_t>(std::min<std::int64_t>(numel, 4096)));
+  for (std::int64_t i = 0; i < numel; ++i) {
     const std::uint64_t bits = read_hex(in, "tensor payload");
     DPIPE_REQUIRE(bits <= 0xFFFFFFFFull, "checkpoint tensor payload range");
-    data[i] = float_from_bits(static_cast<std::uint32_t>(bits));
+    data.push_back(float_from_bits(static_cast<std::uint32_t>(bits)));
   }
-  return t;
+  return Tensor::from_storage(std::move(shape), std::move(data));
 }
 
 void write_tensor_list(std::ostream& out, const std::vector<Tensor>& list) {

@@ -66,7 +66,6 @@ std::string stats_text(const PlanService& service) {
   out << "cache_entries " << stats.cache.entries << '\n';
   out << "planner_runs " << stats.planner_runs << '\n';
   out << "store_loaded " << stats.store_loaded << '\n';
-  out << "stage_cost_entries " << stats.stage_costs.entries << '\n';
   return out.str();
 }
 

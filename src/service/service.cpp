@@ -27,7 +27,6 @@ std::shared_ptr<const CachedPlan> PlanService::compute_plan(
     const PlanRequest& request, const std::string& request_text) {
   PlannerOptions popts = request.options;
   popts.search_threads = options_.planner_threads;
-  popts.cache_store = &stage_costs_;
   const Planner planner(request.model, request.cluster, popts);
   const Plan plan = planner.plan();
   if (options_.validate_programs) {
@@ -47,6 +46,8 @@ std::shared_ptr<const CachedPlan> PlanService::compute_plan(
   {
     const std::lock_guard<std::mutex> lock(stats_mutex_);
     ++planner_runs_;
+    stage_costs_.cost_hits += plan.search.cache_hits;
+    stage_costs_.cost_misses += plan.search.cache_misses;
   }
   if (store_.has_value()) {
     const std::lock_guard<std::mutex> lock(store_mutex_);
@@ -83,18 +84,14 @@ PlanService::InvalidationReport PlanService::invalidate_cluster(
     const std::lock_guard<std::mutex> lock(store_mutex_);
     report.store_removed = store_->invalidate_cluster(cluster_fp);
   }
-  // Stage-cost contexts embed the cluster's canonical bytes, so entries for
-  // the old topology were already unreachable by key; clearing just
-  // reclaims the dead weight.
-  stage_costs_.clear();
   return report;
 }
 
 PlanService::Stats PlanService::stats() const {
   Stats out;
   out.cache = cache_.stats();
-  out.stage_costs = stage_costs_.stats();
   const std::lock_guard<std::mutex> lock(stats_mutex_);
+  out.stage_costs = stage_costs_;
   out.planner_runs = planner_runs_;
   out.store_loaded = store_loaded_;
   out.store_corrupt_dropped = store_corrupt_dropped_;

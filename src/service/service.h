@@ -7,7 +7,6 @@
 #include <string>
 #include <vector>
 
-#include "core/partition/stage_cache.h"
 #include "service/plan_cache.h"
 #include "service/plan_store.h"
 #include "service/request.h"
@@ -31,15 +30,22 @@ struct PlanServiceOptions {
 
 /// The multi-tenant planning service: accepts concurrent plan requests,
 /// answers repeats from a fingerprint-keyed whole-plan cache (single-flight:
-/// N concurrent identical cold requests run the planner once), shares one
-/// mutex-guarded StageCostStore across tenants so distinct requests still
-/// reuse per-combo stage costs, and optionally persists every plan to a
-/// PlanStore for warm restart. All public methods are thread-safe.
+/// N concurrent identical cold requests run the planner once), and
+/// optionally persists every plan to a PlanStore for warm restart. Cold
+/// plans keep no stage costs across requests: each (S, M, D) evaluation
+/// memoizes its own, and the memo is freed when the plan returns. All
+/// public methods are thread-safe.
 class PlanService {
  public:
   struct Stats {
+    /// Stage-cost memo lookups, summed over every cold plan's
+    /// per-evaluation caches.
+    struct StageCosts {
+      std::size_t cost_hits = 0;
+      std::size_t cost_misses = 0;
+    };
     PlanCache::Stats cache;
-    StageCostStore::Stats stage_costs;
+    StageCosts stage_costs;
     std::size_t planner_runs = 0;       ///< Cold plans actually computed.
     std::size_t store_loaded = 0;       ///< Warm-start entries from disk.
     std::size_t store_corrupt_dropped = 0;
@@ -68,18 +74,14 @@ class PlanService {
       const std::vector<PlanRequest>& requests, int threads = 0);
 
   /// The cluster changed shape: every cached and persisted plan for its old
-  /// fingerprint is stale. Evicts from the cache, deletes from the store,
-  /// and clears the stage-cost store (its context keys embed the cluster
-  /// bytes, so old entries were already unreachable — this reclaims them).
+  /// fingerprint is stale. Evicts from the cache and deletes from the
+  /// store.
   InvalidationReport invalidate_cluster(const ClusterSpec& cluster);
 
   [[nodiscard]] Stats stats() const;
 
   /// The shared whole-plan cache (exposed for tests and tools).
   [[nodiscard]] PlanCache& cache() { return cache_; }
-
-  /// The shared cross-tenant stage-cost store.
-  [[nodiscard]] StageCostStore& stage_costs() { return stage_costs_; }
 
   [[nodiscard]] const PlanServiceOptions& options() const { return options_; }
 
@@ -90,11 +92,11 @@ class PlanService {
 
   PlanServiceOptions options_;
   PlanCache cache_;
-  StageCostStore stage_costs_;
   std::optional<PlanStore> store_;
   std::mutex store_mutex_;  ///< Serializes store_ mutation (put/invalidate).
   mutable std::mutex stats_mutex_;
   std::size_t planner_runs_ = 0;
+  Stats::StageCosts stage_costs_;
   std::size_t store_loaded_ = 0;
   std::size_t store_corrupt_dropped_ = 0;
 };

@@ -6,7 +6,8 @@
 # fork-join and nested/concurrent planner tests, the parallel planner-search
 # determinism tests, the kernel/pool substrate tests (row-block fan-out,
 # concurrent TensorPool), and the plan-service suites (single-flight cache,
-# stage-cost leases, concurrent request determinism), then an
+# the stage-cost store's single-owner guard, concurrent request
+# determinism), then an
 # AddressSanitizer + UBSan build running the text codec suites, ending with
 # a socket-level request-storm smoke of dpipe_plan_serve.
 # Run from the repository root.
