@@ -79,9 +79,9 @@ struct RecoveryPhase {
 
 /// The crash -> re-plan -> re-shard -> resume loop (DESIGN.md §10).
 ///
-/// On an injected device crash the in-flight wave aborts cooperatively
-/// (closed channels unwind every stage task; PipelineTrainer scrubs the
-/// partial wave), the controller salvages the last iteration boundary
+/// On an injected device crash the in-flight wave aborts (no op whose
+/// predecessors never finished runs; PipelineTrainer scrubs the partial
+/// wave), the controller salvages the last iteration boundary
 /// (salvage_checkpoint — sound because a crashed iteration can never have
 /// stepped an optimizer), re-runs the full Planner over the runtime's
 /// synthetic model for the shrunk cluster (each re-plan memoizes its own

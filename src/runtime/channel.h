@@ -8,22 +8,15 @@
 
 namespace dpipe::rt {
 
-/// Outcome of a non-blocking Channel::try_pop().
-enum class TryPop {
-  kValue,   ///< A value was dequeued.
-  kEmpty,   ///< Nothing queued, but the channel is still open.
-  kClosed,  ///< Closed and fully drained: no value will ever arrive.
-};
-
-/// FIFO channel between pipeline stage tasks. The interpreter's tasks only
-/// use the non-blocking try_pop(); pop() blocks the calling thread.
+/// Closable FIFO between threads; pop() blocks the calling thread.
+/// Pipeline waves do not use it: they hand tensors between stages through
+/// slots ordered by ProgramInterpreter's static wave order.
 ///
 /// Supports cooperative shutdown: `close()` wakes every blocked consumer,
 /// after which `pop()` drains any queued values and then returns nullopt.
 /// `push()` reports whether the value was enqueued: it returns false on a
-/// closed channel (the consumer is gone — this happens only while a wave is
-/// being aborted) so producers can distinguish an abort from a delivered
-/// message instead of dropping values silently.
+/// closed channel (the consumer is gone) so producers can distinguish a
+/// shutdown from a delivered message instead of dropping values silently.
 template <typename T>
 class Channel {
  public:
@@ -44,20 +37,6 @@ class Channel {
     std::unique_lock<std::mutex> lock(mutex_);
     cv_.wait(lock, [&] { return !queue_.empty() || closed_; });
     return take_locked();
-  }
-
-  /// Non-blocking pop for the wave scheduler's resumable tasks. Dequeues into
-  /// `out` whenever a value is queued — including after close(), matching
-  /// pop()'s drain-then-nullopt order — otherwise reports whether one can
-  /// still arrive (kEmpty) or never will (kClosed).
-  [[nodiscard]] TryPop try_pop(T& out) {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    if (!queue_.empty()) {
-      out = std::move(queue_.front());
-      queue_.pop();
-      return TryPop::kValue;
-    }
-    return closed_ ? TryPop::kClosed : TryPop::kEmpty;
   }
 
   /// Marks the channel closed and wakes all blocked consumers. Idempotent.
@@ -90,14 +69,14 @@ class Channel {
   bool closed_ = false;
 };
 
-/// Thrown by a stage task killed via PipelineRtConfig::fault — the
+/// Thrown by the forward op PipelineRtConfig::fault selects — the
 /// test-visible stand-in for a crashed pipeline worker.
 class StageFailure : public std::runtime_error {
  public:
   using std::runtime_error::runtime_error;
 };
 
-/// Test-visible fault injection: the matching stage task throws
+/// Test-visible fault injection: the matching forward op throws
 /// StageFailure while processing forward micro-batch `micro` of training
 /// iteration `iteration` on replica `replica`. iteration < 0 disables it.
 struct RtFaultInjection {

@@ -1,12 +1,15 @@
 #include "runtime/interpreter.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
-#include <condition_variable>
-#include <deque>
+#include <exception>
+#include <functional>
 #include <map>
 #include <mutex>
+#include <queue>
 #include <string>
+#include <tuple>
 #include <utility>
 
 #include "cluster/comm_model.h"
@@ -23,472 +26,29 @@ namespace dpipe::rt {
 
 namespace {
 
-/// Cross-replica rendezvous realizing kAllReduceGrads: the last of
-/// `parties` arriving tasks runs the reduction under the lock, so every
-/// replica's accumulated gradients happen-before the reduce and the reduced
-/// values happen-before every party's optimizer step. Single-use. Tasks
-/// never wait inside it: an arrival that finds peers missing parks its task
-/// until the last arriver wakes it.
-class ReduceBarrier {
- public:
-  explicit ReduceBarrier(int parties) : parties_(parties) {}
-
-  enum class TryArrive { kReduced, kPending, kAborted };
-
-  /// `arrived` is the calling task's own registration flag: the first call
-  /// registers the arrival, later calls only poll. kReduced means the
-  /// reduction has run and the task may proceed; kPending means peers are
-  /// still missing. The last arriver runs the reduction inline; if it
-  /// throws, the barrier aborts.
-  template <typename Fn>
-  [[nodiscard]] TryArrive try_arrive(bool& arrived, Fn&& reduce) {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    if (aborted_) {
-      return TryArrive::kAborted;
-    }
-    if (!arrived) {
-      arrived = true;
-      if (++arrived_ == parties_) {
-        try {
-          reduce();
-        } catch (...) {
-          aborted_ = true;
-          throw;
-        }
-        done_ = true;
-      }
-    }
-    return done_ ? TryArrive::kReduced : TryArrive::kPending;
-  }
-
-  void abort() {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    aborted_ = true;
-  }
-
- private:
-  std::mutex mutex_;
-  int parties_;
-  int arrived_ = 0;
-  bool done_ = false;
-  bool aborted_ = false;
-};
-
 [[nodiscard]] bool occupies_device(InstrKind kind) {
   return kind == InstrKind::kLoadMicroBatch || kind == InstrKind::kForward ||
          kind == InstrKind::kBackward || kind == InstrKind::kFrozenForward ||
          kind == InstrKind::kOptimizerStep;
 }
 
-/// Runs one wave's resumable tasks on the calling thread plus up to
-/// width - 1 idle executor workers (the participants). A participant pulls
-/// a ready task and runs it until it finishes or would block on a channel
-/// pop or an allreduce barrier; the blocked task parks, and the participant
-/// pulls the next one. The peer whose push or barrier arrival unblocks a
-/// parked task wakes it, so no thread ever waits inside a task: a
-/// participant only sleeps when no task is ready, and with width 1 the
-/// whole wave runs cooperatively on the caller. Every value a task computes
-/// is a pure function of the wave's inputs (see ProgramInterpreter), so
-/// every width and interleaving yields the same bits.
-class WaveScheduler {
- public:
-  explicit WaveScheduler(std::size_t tasks)
-      : state_(tasks, State::kReady), remaining_(tasks) {
-    for (std::size_t t = 0; t < tasks; ++t) {
-      ready_.push_back(t);
-    }
-  }
-
-  /// Something task `t` may wait on changed: a parked `t` becomes ready,
-  /// a running one is re-run once it yields.
-  void wake(std::size_t t) {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    wake_locked(t);
-  }
-
-  void wake_all() {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    for (std::size_t t = 0; t < state_.size(); ++t) {
-      wake_locked(t);
-    }
-  }
-
-  /// Runs every task to completion. step(t) runs task t from where it
-  /// stopped and returns true once it is finished, false when it parks.
-  /// Throws if no task can progress: the program would deadlock under any
-  /// schedule (validated programs never do).
-  template <typename Step>
-  void run(int width, const Step& step) {
-    parallel_for(static_cast<std::size_t>(width), width,
-                 [&](std::size_t) { participate(step); });
-    DPIPE_ENSURE(!deadlocked_, "wave deadlocked: no task can progress");
-  }
-
- private:
-  enum class State { kReady, kRunning, kRerun, kParked, kDone };
-
-  void wake_locked(std::size_t t) {
-    if (state_[t] == State::kParked) {
-      state_[t] = State::kReady;
-      ready_.push_back(t);
-      if (sleeping_ > 0) {
-        cv_.notify_one();
-      }
-    } else if (state_[t] == State::kRunning) {
-      state_[t] = State::kRerun;
-    }
-  }
-
-  template <typename Step>
-  void participate(const Step& step) {
-    std::unique_lock<std::mutex> lock(mutex_);
-    while (remaining_ > 0 && !deadlocked_) {
-      if (ready_.empty()) {
-        if (running_ == 0) {
-          deadlocked_ = true;
-          cv_.notify_all();
-          return;
-        }
-        ++sleeping_;
-        cv_.wait(lock);
-        --sleeping_;
-        continue;
-      }
-      const std::size_t t = ready_.front();
-      ready_.pop_front();
-      state_[t] = State::kRunning;
-      ++running_;
-      lock.unlock();
-      const bool done = step(t);
-      lock.lock();
-      --running_;
-      if (done) {
-        state_[t] = State::kDone;
-        if (--remaining_ == 0) {
-          cv_.notify_all();
-        }
-      } else if (state_[t] == State::kRerun) {
-        state_[t] = State::kReady;
-        ready_.push_back(t);
-      } else {
-        state_[t] = State::kParked;
-      }
-    }
-  }
-
-  std::mutex mutex_;  ///< Guards every member below.
-  std::condition_variable cv_;  ///< Signals sleepers: ready task or end.
-  std::vector<State> state_;
-  std::deque<std::size_t> ready_;
-  std::size_t remaining_;  ///< Tasks not yet kDone.
-  int running_ = 0;
-  int sleeping_ = 0;
-  bool deadlocked_ = false;
-};
-
-/// Everything one train_wave's per-(replica, device) tasks share. Owned by
-/// train_wave's frame; tasks hold a reference.
-struct TrainWave {
-  const ProgramBinding& b;
-  const DdpmProblem& problem;
-  const std::vector<ProgramInterpreter::ReplicaState>& replicas;
-  const std::vector<ProgramInterpreter::WaveInputs>& inputs;
-  int global_batch;
-  int iteration;
-  const RtFaultInjection& fault;
-  ExecutionLog* log;
-  int S;
-  int M;
-  int G;
-  int per_micro;
-  std::vector<std::vector<std::vector<Tensor*>>>& stage_params;
-  std::vector<std::vector<std::vector<Tensor*>>>& stage_grads;
-  std::vector<Channel<Tensor>>& act;
-  std::vector<Channel<Tensor>>& grad;
-  std::vector<Channel<int>>& cond_gate;
-  std::vector<std::unique_ptr<ReduceBarrier>>& barriers;
-  std::vector<std::vector<Tensor>>& preds;
-  WaveScheduler& sched;
-
-  /// Wakes the task of the device that owns `stage` in replica g.
-  void wake(int g, int stage) const {
-    sched.wake(static_cast<std::size_t>(g) * b.program().group_size +
-               b.device_of_stage(stage));
-  }
-};
-
-/// Resumable execution state of one (replica g, device dev) training task:
-/// an instruction cursor plus the locals a thread body would hold. One task
-/// walks its device's whole instruction stream, dispatching each op onto
-/// the owned (virtual) stage it names: per-stage inbox/barrier state is
-/// indexed by the stage's slot, so an interleaved device drives V resumable
-/// stage machines from one cursor. run() executes until the next channel
-/// pop or barrier would block, returns kBlocked with all state intact, and
-/// resumes exactly where it stopped. Suspension points carry no partial
-/// arithmetic, so every schedule produces bit-identical tensors.
-class DeviceExec {
- public:
-  enum class Status { kBlocked, kDone };
-
-  DeviceExec(TrainWave& w, int g, int dev)
-      : w_(w),
-        g_(g),
-        dev_(dev),
-        stream_(w.b.program().per_device[dev]),
-        in_(w.inputs[g]),
-        replica_(w.replicas[g]),
-        owned_(w.b.stages_of_device(dev)),
-        loaded_(w.M),  // Stage-0 assembled inputs.
-        inbox_act_(owned_.size(),
-                   std::vector<Tensor>(w.M)),  // Received activations.
-        inbox_grad_(owned_.size(),
-                    std::vector<Tensor>(w.M)),  // Received gradients.
-        local_grads_(w.M),                      // Last stage's loss grads.
-        barrier_arrived_(owned_.size(), 0) {}
-
-  /// Executes instructions from the cursor until the task blocks or its
-  /// stream ends. Throws on stage failure; an aborted wave ends the task
-  /// silently (kDone).
-  Status run();
-
- private:
-  /// Marks the task finished (aborted wave): the scheduler must not resume
-  /// it again.
-  Status finish() {
-    ip_ = stream_.size();
-    return Status::kDone;
-  }
-
-  TrainWave& w_;
-  int g_;
-  int dev_;
-  const std::vector<Instruction>& stream_;
-  const ProgramInterpreter::WaveInputs& in_;
-  const ProgramInterpreter::ReplicaState& replica_;
-  const std::vector<int>& owned_;  ///< Stages this device owns, slot order.
-  std::vector<Tensor> loaded_;
-  std::vector<std::vector<Tensor>> inbox_act_;   ///< [slot][micro].
-  std::vector<std::vector<Tensor>> inbox_grad_;  ///< [slot][micro].
-  std::vector<Tensor> local_grads_;
-  bool gate_passed_ = false;
-  int frozen_seen_ = 0;
-  std::size_t ip_ = 0;      ///< Next instruction to execute.
-  std::size_t logged_ = 0;  ///< Instructions already logged (once each).
-  std::vector<char> barrier_arrived_;  ///< [slot].
-};
-
-DeviceExec::Status DeviceExec::run() {
-  TensorPool& pool = TensorPool::global();
-  while (ip_ < stream_.size()) {
-    const Instruction& instr = stream_[ip_];
-    if (logged_ <= ip_) {
-      // Log on first arrival (a blocked instruction is revisited but must
-      // be recorded once, in the order the device reached it).
-      logged_ = ip_ + 1;
-      if (w_.log != nullptr && g_ == 0 && occupies_device(instr.kind)) {
-        (*w_.log)[dev_].push_back(op_signature(instr));
-      }
-    }
-    switch (instr.kind) {
-      case InstrKind::kLoadMicroBatch: {
-        if (!gate_passed_) {
-          int token = 0;
-          switch (w_.cond_gate[g_].try_pop(token)) {
-            case TryPop::kValue:
-              break;
-            case TryPop::kEmpty:
-              return Status::kBlocked;
-            case TryPop::kClosed:
-              return finish();  // Wave aborted before the inputs arrived.
-          }
-          gate_passed_ = true;
-        }
-        const int m = instr.micro;
-        const int lo = m * w_.per_micro;
-        const int hi = lo + w_.per_micro;
-        const Tensor cond_rows =
-            in_.cond->slice_rows(in_.row_offset + lo, in_.row_offset + hi);
-        const Tensor sc_rows = in_.self_cond != nullptr
-                                   ? in_.self_cond->slice_rows(lo, hi)
-                                   : Tensor();
-        loaded_[m] = w_.problem.make_input(
-            in_.micros[m], cond_rows,
-            in_.self_cond != nullptr ? &sc_rows : nullptr);
-        break;
-      }
-      case InstrKind::kRecvActivation: {
-        const int s = instr.stage;
-        Tensor recv;
-        switch (w_.act[g_ * w_.S + (s - 1)].try_pop(recv)) {
-          case TryPop::kValue:
-            inbox_act_[w_.b.slot_of_stage(s)][instr.micro] = std::move(recv);
-            break;
-          case TryPop::kEmpty:
-            return Status::kBlocked;
-          case TryPop::kClosed:
-            return finish();  // Peer aborted the wave.
-        }
-        break;
-      }
-      case InstrKind::kRecvGradient: {
-        const int s = instr.stage;
-        Tensor recv;
-        switch (w_.grad[g_ * w_.S + s].try_pop(recv)) {
-          case TryPop::kValue:
-            inbox_grad_[w_.b.slot_of_stage(s)][instr.micro] = std::move(recv);
-            break;
-          case TryPop::kEmpty:
-            return Status::kBlocked;
-          case TryPop::kClosed:
-            return finish();  // Peer aborted the wave.
-        }
-        break;
-      }
-      case InstrKind::kForward: {
-        const int s = instr.stage;
-        const int slot = w_.b.slot_of_stage(s);
-        const int m = instr.micro;
-        if (w_.fault.armed() && w_.iteration == w_.fault.iteration &&
-            g_ == w_.fault.replica && s == w_.fault.stage &&
-            m == w_.fault.micro) {
-          throw StageFailure("injected stage failure: iteration " +
-                             std::to_string(w_.iteration) + ", stage " +
-                             std::to_string(s) + ", micro " +
-                             std::to_string(m));
-        }
-        Tensor x =
-            s == 0 ? std::move(loaded_[m]) : std::move(inbox_act_[slot][m]);
-        Tensor y = replica_.net->forward_range(
-            std::move(x), w_.b.module_begin(s), w_.b.module_end(s));
-        if (s == w_.S - 1) {
-          local_grads_[m] =
-              w_.problem.loss_grad(y, in_.micros[m].noise, w_.global_batch);
-          w_.preds[g_][m] = std::move(y);
-        } else {
-          inbox_act_[slot][m] = std::move(y);  // Outbox until the send.
-        }
-        break;
-      }
-      case InstrKind::kSendActivation: {
-        const int s = instr.stage;
-        if (!w_.act[g_ * w_.S + s].push(std::move(
-                inbox_act_[w_.b.slot_of_stage(s)][instr.micro]))) {
-          return finish();  // Consumer gone: the wave is being aborted.
-        }
-        w_.wake(g_, s + 1);
-        break;
-      }
-      case InstrKind::kBackward: {
-        const int s = instr.stage;
-        const int slot = w_.b.slot_of_stage(s);
-        const int m = instr.micro;
-        Tensor gin = s == w_.S - 1 ? std::move(local_grads_[m])
-                                   : std::move(inbox_grad_[slot][m]);
-        Tensor gout = replica_.net->backward_range(
-            std::move(gin), w_.b.module_begin(s), w_.b.module_end(s));
-        if (s == 0) {
-          pool.release(std::move(gout));
-        } else {
-          inbox_grad_[slot][m] = std::move(gout);  // Outbox until the send.
-        }
-        break;
-      }
-      case InstrKind::kSendGradient: {
-        const int s = instr.stage;
-        if (!w_.grad[g_ * w_.S + (s - 1)].push(std::move(
-                inbox_grad_[w_.b.slot_of_stage(s)][instr.micro]))) {
-          return finish();  // Consumer gone: the wave is being aborted.
-        }
-        w_.wake(g_, s - 1);
-        break;
-      }
-      case InstrKind::kFrozenForward: {
-        // One bound slot per covered layer (see ProgramBinding).
-        for (int layer = instr.layer_begin; layer < instr.layer_end;
-             ++layer) {
-          const ProgramBinding::FrozenSlot& slot =
-              w_.b.steady_frozen()[dev_][frozen_seen_++];
-          if (!slot.produces_cond || in_.next_cond_raw == nullptr ||
-              in_.next_cond == nullptr || slot.rows.rows() == 0) {
-            continue;  // Modeled compute only.
-          }
-          const Tensor raw = in_.next_cond_raw->slice_rows(
-              in_.row_offset + slot.rows.begin,
-              in_.row_offset + slot.rows.end);
-          Tensor enc = w_.problem.encode_condition(raw);
-          const int cols = enc.cols();
-          std::copy(enc.data(), enc.data() + enc.numel(),
-                    in_.next_cond->data() +
-                        static_cast<std::int64_t>(in_.row_offset +
-                                                  slot.rows.begin) *
-                            cols);
-          pool.release(std::move(enc));
-        }
-        break;
-      }
-      case InstrKind::kAllReduceGrads: {
-        const int s = instr.stage;
-        const auto reduce = [&] {
-          // Sum replica gradients (ascending replica order) and broadcast
-          // the result — micro gradients are already global-batch
-          // normalized, so the sum IS the full-batch gradient.
-          for (std::size_t i = 0; i < w_.stage_grads[0][s].size(); ++i) {
-            Tensor avg = pool.acquire(w_.stage_grads[0][s][i]->shape());
-            std::copy(w_.stage_grads[0][s][i]->data(),
-                      w_.stage_grads[0][s][i]->data() + avg.numel(),
-                      avg.data());
-            for (int r = 1; r < w_.G; ++r) {
-              add_inplace(avg, *w_.stage_grads[r][s][i]);
-            }
-            for (int r = 0; r < w_.G; ++r) {
-              std::copy(avg.data(), avg.data() + avg.numel(),
-                        w_.stage_grads[r][s][i]->data());
-            }
-            pool.release(std::move(avg));
-          }
-        };
-        const int slot = w_.b.slot_of_stage(s);
-        bool arrived = barrier_arrived_[slot] != 0;
-        const bool first_call = !arrived;
-        const ReduceBarrier::TryArrive outcome =
-            w_.barriers[s]->try_arrive(arrived, reduce);
-        barrier_arrived_[slot] = arrived ? 1 : 0;
-        switch (outcome) {
-          case ReduceBarrier::TryArrive::kReduced:
-            if (first_call) {
-              // This arrival ran the reduction: release the parked peers.
-              for (int r = 0; r < w_.G; ++r) {
-                if (r != g_) {
-                  w_.wake(r, s);
-                }
-              }
-            }
-            break;
-          case ReduceBarrier::TryArrive::kPending:
-            return Status::kBlocked;
-          case ReduceBarrier::TryArrive::kAborted:
-            return finish();  // Wave aborted while waiting for peers.
-        }
-        break;
-      }
-      case InstrKind::kOptimizerStep: {
-        const int s = instr.stage;
-        if (!replica_.stage_adam.empty()) {
-          replica_.stage_adam[s]->step(w_.stage_params[g_][s],
-                                       w_.stage_grads[g_][s]);
-        } else {
-          replica_.sgd->step(w_.stage_params[g_][s], w_.stage_grads[g_][s]);
-        }
-        for (Tensor* gt : w_.stage_grads[g_][s]) {
-          fill(*gt, 0.0f);
-        }
-        break;
-      }
-    }
-    ++ip_;
-  }
-  return Status::kDone;
+[[nodiscard]] bool is_transfer(InstrKind kind) {
+  return kind == InstrKind::kSendActivation ||
+         kind == InstrKind::kRecvActivation ||
+         kind == InstrKind::kSendGradient || kind == InstrKind::kRecvGradient;
 }
+
+/// Ops of the no-grad forward replay (forward_wave).
+[[nodiscard]] bool in_forward_pass(InstrKind kind) {
+  return kind == InstrKind::kLoadMicroBatch || kind == InstrKind::kForward ||
+         kind == InstrKind::kSendActivation ||
+         kind == InstrKind::kRecvActivation;
+}
+
+/// Done-flag states of a wave node.
+constexpr int kPending = 0;
+constexpr int kDone = 1;
+constexpr int kAborted = 2;
 
 }  // namespace
 
@@ -668,9 +228,12 @@ ProgramInterpreter::ProgramInterpreter(const DdpmProblem& problem,
   DPIPE_REQUIRE(global_batch >= 1, "global batch must be positive");
   DPIPE_REQUIRE(backbone.size() == binding.module_cut().back(),
                 "backbone does not match the binding's module count");
-  // The cheapest stage op's forward FLOPs: 2 x micro-batch rows x stage
-  // parameters.
+  DPIPE_REQUIRE(global_batch % binding.rows_per_replica() == 0,
+                "global batch must be a whole number of replica shards");
+  replicas_ = global_batch / binding.rows_per_replica();
+  // Each stage op's forward FLOPs: 2 x micro-batch rows x stage parameters.
   const std::int64_t rows = binding.rows_per_replica() / binding.num_micros();
+  std::vector<std::int64_t> stage_flops(binding.num_stages());
   for (int s = 0; s < binding.num_stages(); ++s) {
     std::int64_t params = 0;
     for (int i = binding.module_begin(s); i < binding.module_end(s); ++i) {
@@ -678,8 +241,243 @@ ProgramInterpreter::ProgramInterpreter(const DdpmProblem& problem,
         params += p->numel();
       }
     }
-    const std::int64_t flops = 2 * rows * params;
-    min_stage_flops_ = s == 0 ? flops : std::min(min_stage_flops_, flops);
+    stage_flops[s] = 2 * rows * params;
+  }
+  min_stage_flops_ =
+      *std::min_element(stage_flops.begin(), stage_flops.end());
+  train_order_ = build_order(stage_flops, replicas_, /*forward_only=*/false);
+  forward_order_ = build_order(stage_flops, 1, /*forward_only=*/true);
+}
+
+ProgramInterpreter::WaveOrder ProgramInterpreter::build_order(
+    const std::vector<std::int64_t>& stage_flops, int replicas,
+    bool forward_only) const {
+  const ProgramBinding& b = *binding_;
+  const int S = b.num_stages();
+  const int M = b.num_micros();
+  const std::vector<std::vector<Instruction>>& streams =
+      b.program().per_device;
+
+  // One replica's ops, each waiting on the previous kept op of its device
+  // and, for a receive, on its FIFO-paired send.
+  struct Op {
+    InstrKind kind = InstrKind::kForward;
+    int device = 0;
+    int instr = 0;
+    int frozen_slot = 0;
+    std::int64_t cost = 0;
+    std::vector<int> preds;
+
+    /// kAllReduceGrads: one node for all replicas.
+    [[nodiscard]] bool shared() const {
+      return kind == InstrKind::kAllReduceGrads;
+    }
+  };
+  std::vector<Op> ops;
+  // Sends per (direction, stage boundary, micro), stream order; boundary
+  // k lies between stages k and k + 1.
+  std::vector<std::vector<int>> sends(
+      static_cast<std::size_t>(2 * (S - 1) * M));
+  std::vector<int> recvs;
+  const auto channel = [&](const Instruction& instr) {
+    const bool activation = instr.kind == InstrKind::kSendActivation ||
+                            instr.kind == InstrKind::kRecvActivation;
+    const bool send = instr.kind == InstrKind::kSendActivation ||
+                      instr.kind == InstrKind::kSendGradient;
+    const int boundary = activation == send ? instr.stage : instr.stage - 1;
+    DPIPE_REQUIRE(boundary >= 0 && boundary < S - 1 && instr.micro >= 0 &&
+                      instr.micro < M,
+                  "transfer outside the pipeline's stage boundaries");
+    return ((activation ? 0 : 1) * (S - 1) + boundary) * M + instr.micro;
+  };
+  for (int dev = 0; dev < static_cast<int>(streams.size()); ++dev) {
+    int prev = -1;
+    int frozen = 0;  // FrozenSlots bound so far on this device.
+    for (int i = 0; i < static_cast<int>(streams[dev].size()); ++i) {
+      const Instruction& instr = streams[dev][i];
+      Op op;
+      op.kind = instr.kind;
+      op.device = dev;
+      op.instr = i;
+      op.frozen_slot = frozen;
+      if (instr.kind == InstrKind::kFrozenForward) {
+        frozen += instr.layer_end - instr.layer_begin;
+      }
+      if (forward_only && !in_forward_pass(instr.kind)) {
+        continue;
+      }
+      if (instr.kind == InstrKind::kForward) {
+        op.cost = stage_flops[instr.stage];
+      } else if (instr.kind == InstrKind::kBackward) {
+        op.cost = 2 * stage_flops[instr.stage];
+      }
+      if (prev >= 0) {
+        op.preds.push_back(prev);
+      }
+      prev = static_cast<int>(ops.size());
+      if (instr.kind == InstrKind::kSendActivation ||
+          instr.kind == InstrKind::kSendGradient) {
+        sends[channel(instr)].push_back(prev);
+      } else if (is_transfer(instr.kind)) {
+        recvs.push_back(prev);
+      }
+      ops.push_back(std::move(op));
+    }
+  }
+  std::vector<std::size_t> paired(sends.size(), 0);
+  for (const int r : recvs) {
+    const int key = channel(streams[ops[r].device][ops[r].instr]);
+    DPIPE_REQUIRE(paired[key] < sends[key].size(),
+                  "receive without a matching send");
+    ops[r].preds.push_back(sends[key][paired[key]++]);
+  }
+  for (std::size_t key = 0; key < sends.size(); ++key) {
+    DPIPE_REQUIRE(paired[key] == sends[key].size(),
+                  "send without a matching receive");
+  }
+
+  // ASAP list simulation: an op starts once all its predecessors finished;
+  // among ready ops the earliest start goes first, ties in (device, stream)
+  // order. The result is a topological order; ops left over lie on a cycle.
+  const int n = static_cast<int>(ops.size());
+  std::vector<std::vector<int>> succs(n);
+  std::vector<int> missing(n);
+  std::vector<std::int64_t> start(n, 0);
+  for (int id = 0; id < n; ++id) {
+    missing[id] = static_cast<int>(ops[id].preds.size());
+    for (const int p : ops[id].preds) {
+      succs[p].push_back(id);
+    }
+  }
+  using Ready = std::tuple<std::int64_t, int, int, int>;  // start, dev, i, id
+  std::priority_queue<Ready, std::vector<Ready>, std::greater<>> ready;
+  for (int id = 0; id < n; ++id) {
+    if (missing[id] == 0) {
+      ready.emplace(0, ops[id].device, ops[id].instr, id);
+    }
+  }
+  std::vector<int> sorted;
+  sorted.reserve(n);
+  while (!ready.empty()) {
+    const auto [at, dev, instr, id] = ready.top();
+    ready.pop();
+    sorted.push_back(id);
+    for (const int next : succs[id]) {
+      start[next] = std::max(start[next], at + ops[id].cost);
+      if (--missing[next] == 0) {
+        ready.emplace(start[next], ops[next].device, ops[next].instr, next);
+      }
+    }
+  }
+  if (static_cast<int>(sorted.size()) != n) {
+    throw std::invalid_argument(
+        "program is not executable: its device streams wait on each other "
+        "in a cycle");
+  }
+
+  // Sends and receives do no work: contract them into edges, so an op
+  // waits directly on the ops its transfers waited on.
+  std::vector<std::vector<int>> deps(n);
+  for (const int id : sorted) {
+    for (const int p : ops[id].preds) {
+      if (is_transfer(ops[p].kind)) {
+        deps[id].insert(deps[id].end(), deps[p].begin(), deps[p].end());
+      } else {
+        deps[id].push_back(p);
+      }
+    }
+    std::sort(deps[id].begin(), deps[id].end());
+    deps[id].erase(std::unique(deps[id].begin(), deps[id].end()),
+                   deps[id].end());
+  }
+
+  // Lay the replicas out replica-inner: each op becomes `replicas`
+  // consecutive nodes, except the shared allreduce, which waits on every
+  // replica's copy of its predecessors.
+  WaveOrder order;
+  std::vector<int> first(n);  // Node of each op's replica 0 (or shared).
+  for (const int id : sorted) {
+    const Op& op = ops[id];
+    if (is_transfer(op.kind)) {
+      continue;
+    }
+    first[id] = static_cast<int>(order.nodes.size());
+    for (int g = 0; g < (op.shared() ? 1 : replicas); ++g) {
+      WaveNode node;
+      node.replica = op.shared() ? -1 : g;
+      node.device = op.device;
+      node.instr = op.instr;
+      node.frozen_slot = op.frozen_slot;
+      node.pred_begin = static_cast<int>(order.preds.size());
+      for (const int p : deps[id]) {
+        if (ops[p].shared()) {
+          order.preds.push_back(first[p]);
+        } else if (op.shared()) {
+          for (int r = 0; r < replicas; ++r) {
+            order.preds.push_back(first[p] + r);
+          }
+        } else {
+          order.preds.push_back(first[p] + g);
+        }
+      }
+      node.pred_end = static_cast<int>(order.preds.size());
+      order.nodes.push_back(node);
+    }
+  }
+  return order;
+}
+
+template <typename Op>
+void ProgramInterpreter::run_order(const WaveOrder& order, int width,
+                                   const Op& op) {
+  const std::size_t n = order.nodes.size();
+  std::vector<std::atomic<int>> state(n);  // kPending (zero) initially.
+  std::atomic<std::size_t> cursor{0};
+  std::mutex error_mutex;
+  std::exception_ptr error;  // The first op failure; guarded by error_mutex.
+  const auto abort_wave = [&] {
+    for (std::atomic<int>& flag : state) {
+      int expected = kPending;
+      if (flag.compare_exchange_strong(expected, kAborted)) {
+        flag.notify_all();
+      }
+    }
+  };
+  parallel_for(static_cast<std::size_t>(width), width, [&](std::size_t) {
+    for (std::size_t i = cursor.fetch_add(1); i < n;
+         i = cursor.fetch_add(1)) {
+      const WaveNode& node = order.nodes[i];
+      for (int p = node.pred_begin; p < node.pred_end; ++p) {
+        std::atomic<int>& pred = state[order.preds[p]];
+        int seen = kPending;
+        while ((seen = pred.load()) == kPending) {
+          pred.wait(kPending);
+        }
+        if (seen == kAborted) {
+          return;
+        }
+      }
+      if (state[i].load() == kAborted) {
+        return;  // The wave was aborted.
+      }
+      try {
+        op(node);
+      } catch (...) {
+        {
+          const std::lock_guard<std::mutex> lock(error_mutex);
+          if (error == nullptr) {
+            error = std::current_exception();
+          }
+        }
+        abort_wave();
+        return;
+      }
+      state[i].store(kDone);
+      state[i].notify_all();
+    }
+  });
+  if (error != nullptr) {
+    std::rethrow_exception(error);
   }
 }
 
@@ -699,7 +497,9 @@ double ProgramInterpreter::train_wave(
   const int S = b.num_stages();
   const int M = b.num_micros();
   const int G = static_cast<int>(replicas.size());
-  DPIPE_REQUIRE(G >= 1, "need at least one replica");
+  DPIPE_REQUIRE(G == replicas_,
+                "replica count does not match the interpreter's global "
+                "batch");
   DPIPE_REQUIRE(static_cast<int>(inputs.size()) == G,
                 "one WaveInputs per replica");
   for (const WaveInputs& in : inputs) {
@@ -707,12 +507,13 @@ double ProgramInterpreter::train_wave(
                   "micro-batch count mismatch with the program");
     DPIPE_REQUIRE(in.cond != nullptr, "wave needs encoder outputs");
   }
+  const int devices = b.program().group_size;
   if (log != nullptr) {
-    log->resize(b.program().group_size);
+    log->resize(devices);
   }
 
   // Per-stage parameter/gradient slices of every replica, precomputed so
-  // the allreduce reducer and the optimizer steps need no module walks.
+  // the allreduce and the optimizer steps need no module walks.
   std::vector<std::vector<std::vector<Tensor*>>> stage_params(G);
   std::vector<std::vector<std::vector<Tensor*>>> stage_grads(G);
   for (int g = 0; g < G; ++g) {
@@ -731,223 +532,156 @@ double ProgramInterpreter::train_wave(
     }
   }
 
-  // Inter-stage channels, flat-indexed [g * S + s]: act[s] carries stage
-  // s -> s+1 activations, grad[s] carries stage s+1 -> s gradients.
-  std::vector<Channel<Tensor>> act(static_cast<std::size_t>(G) * S);
-  std::vector<Channel<Tensor>> grad(static_cast<std::size_t>(G) * S);
-  // The cross-iteration fence: kLoadMicroBatch may not start before this
-  // iteration's non-trainable outputs exist. The driver arms the gate once
-  // the conditioning tensor is ready (here: before the wave spawns).
-  std::vector<Channel<int>> cond_gate(G);
-  std::vector<std::unique_ptr<ReduceBarrier>> barriers;
-  barriers.reserve(S);
-  for (int s = 0; s < S; ++s) {
-    barriers.push_back(std::make_unique<ReduceBarrier>(G));
-  }
-  for (int g = 0; g < G; ++g) {
-    DPIPE_ENSURE(cond_gate[g].push(1),
-                 "cond gate closed before the wave started");
-  }
-
-  const int per_micro = b.rows_per_replica() / M;
-  std::vector<std::vector<Tensor>> preds(G);
-  for (int g = 0; g < G; ++g) {
-    preds[g].resize(M);
-  }
-  const int devices = b.program().group_size;
-  std::vector<std::exception_ptr> errors(static_cast<std::size_t>(G) *
-                                         devices);
-
-  const std::size_t num_tasks = static_cast<std::size_t>(G) * devices;
-  WaveScheduler sched(num_tasks);
-  const auto abort_all = [&] {
-    for (Channel<Tensor>& ch : act) {
-      ch.close();
-    }
-    for (Channel<Tensor>& ch : grad) {
-      ch.close();
-    }
-    for (Channel<int>& ch : cond_gate) {
-      ch.close();
-    }
-    for (const std::unique_ptr<ReduceBarrier>& barrier : barriers) {
-      barrier->abort();
-    }
-    sched.wake_all();
+  // Tensor slots, flat-indexed [(g * S + s) * M + m]: act holds stage s's
+  // forward input for micro m, grad its backward input. The order makes
+  // every slot's writer finish before its reader starts.
+  const std::size_t slots = static_cast<std::size_t>(G) * S * M;
+  std::vector<Tensor> act(slots);
+  std::vector<Tensor> grad(slots);
+  std::vector<Tensor> preds(static_cast<std::size_t>(G) * M);
+  const auto slot = [&](int g, int s, int m) {
+    return (static_cast<std::size_t>(g) * S + s) * M + m;
   };
+  const int per_micro = b.rows_per_replica() / M;
+  TensorPool& pool = TensorPool::global();
 
-  TrainWave wave{b,         *problem_,  replicas,  inputs,   global_batch_,
-                 iteration, fault,      log,       S,        M,
-                 G,         per_micro,  stage_params, stage_grads,
-                 act,       grad,       cond_gate, barriers, preds,
-                 sched};
-  std::vector<std::unique_ptr<DeviceExec>> tasks;
-  tasks.reserve(num_tasks);
-  for (int g = 0; g < G; ++g) {
-    for (int dev = 0; dev < devices; ++dev) {
-      tasks.push_back(std::make_unique<DeviceExec>(wave, g, dev));
+  run_order(train_order_, wave_width(static_cast<std::size_t>(G) * devices),
+            [&](const WaveNode& node) {
+    const Instruction& instr = b.program().per_device[node.device][node.instr];
+    const int s = instr.stage;
+    const int m = instr.micro;
+    if (node.replica < 0) {
+      // The shared allreduce: sum the replicas' gradients in ascending
+      // replica order and broadcast the result. Micro gradients are already
+      // global-batch normalized, so the sum IS the full-batch gradient.
+      for (std::size_t i = 0; i < stage_grads[0][s].size(); ++i) {
+        Tensor sum = pool.acquire(stage_grads[0][s][i]->shape());
+        std::copy(stage_grads[0][s][i]->data(),
+                  stage_grads[0][s][i]->data() + sum.numel(), sum.data());
+        for (int r = 1; r < G; ++r) {
+          add_inplace(sum, *stage_grads[r][s][i]);
+        }
+        for (int r = 0; r < G; ++r) {
+          std::copy(sum.data(), sum.data() + sum.numel(),
+                    stage_grads[r][s][i]->data());
+        }
+        pool.release(std::move(sum));
+      }
+      return;
     }
-  }
-  sched.run(wave_width(num_tasks), [&](std::size_t t) {
-    try {
-      return tasks[t]->run() == DeviceExec::Status::kDone;
-    } catch (...) {
-      errors[t] = std::current_exception();
-      abort_all();
-      return true;
+    const int g = node.replica;
+    const WaveInputs& in = inputs[g];
+    const ReplicaState& replica = replicas[g];
+    if (log != nullptr && g == 0 && occupies_device(instr.kind)) {
+      (*log)[node.device].push_back(op_signature(instr));
+    }
+    switch (instr.kind) {
+      case InstrKind::kLoadMicroBatch: {
+        const int lo = m * per_micro;
+        const int hi = lo + per_micro;
+        const Tensor cond_rows =
+            in.cond->slice_rows(in.row_offset + lo, in.row_offset + hi);
+        const Tensor sc_rows = in.self_cond != nullptr
+                                   ? in.self_cond->slice_rows(lo, hi)
+                                   : Tensor();
+        act[slot(g, 0, m)] = problem_->make_input(
+            in.micros[m], cond_rows,
+            in.self_cond != nullptr ? &sc_rows : nullptr);
+        break;
+      }
+      case InstrKind::kForward: {
+        if (fault.armed() && iteration == fault.iteration &&
+            g == fault.replica && s == fault.stage && m == fault.micro) {
+          throw StageFailure("injected stage failure: iteration " +
+                             std::to_string(iteration) + ", stage " +
+                             std::to_string(s) + ", micro " +
+                             std::to_string(m));
+        }
+        Tensor y = replica.net->forward_range(std::move(act[slot(g, s, m)]),
+                                              b.module_begin(s),
+                                              b.module_end(s));
+        if (s == S - 1) {
+          grad[slot(g, s, m)] =
+              problem_->loss_grad(y, in.micros[m].noise, global_batch_);
+          preds[static_cast<std::size_t>(g) * M + m] = std::move(y);
+        } else {
+          act[slot(g, s + 1, m)] = std::move(y);
+        }
+        break;
+      }
+      case InstrKind::kBackward: {
+        Tensor gout = replica.net->backward_range(
+            std::move(grad[slot(g, s, m)]), b.module_begin(s),
+            b.module_end(s));
+        if (s == 0) {
+          pool.release(std::move(gout));
+        } else {
+          grad[slot(g, s - 1, m)] = std::move(gout);
+        }
+        break;
+      }
+      case InstrKind::kFrozenForward: {
+        // One bound slot per covered layer (see ProgramBinding).
+        for (int layer = instr.layer_begin; layer < instr.layer_end;
+             ++layer) {
+          const ProgramBinding::FrozenSlot& frozen =
+              b.steady_frozen()[node.device][node.frozen_slot + layer -
+                                             instr.layer_begin];
+          if (!frozen.produces_cond || in.next_cond_raw == nullptr ||
+              in.next_cond == nullptr || frozen.rows.rows() == 0) {
+            continue;  // Modeled compute only.
+          }
+          const Tensor raw = in.next_cond_raw->slice_rows(
+              in.row_offset + frozen.rows.begin,
+              in.row_offset + frozen.rows.end);
+          Tensor enc = problem_->encode_condition(raw);
+          const int cols = enc.cols();
+          std::copy(enc.data(), enc.data() + enc.numel(),
+                    in.next_cond->data() +
+                        static_cast<std::int64_t>(in.row_offset +
+                                                  frozen.rows.begin) *
+                            cols);
+          pool.release(std::move(enc));
+        }
+        break;
+      }
+      case InstrKind::kOptimizerStep: {
+        if (!replica.stage_adam.empty()) {
+          replica.stage_adam[s]->step(stage_params[g][s], stage_grads[g][s]);
+        } else {
+          replica.sgd->step(stage_params[g][s], stage_grads[g][s]);
+        }
+        for (Tensor* gt : stage_grads[g][s]) {
+          fill(*gt, 0.0f);
+        }
+        break;
+      }
+      default:
+        break;  // Sends and receives are edges of the order, not nodes.
     }
   });
-  for (int dev = 0; dev < devices; ++dev) {
-    for (int g = 0; g < G; ++g) {
-      if (errors[static_cast<std::size_t>(g) * devices + dev] != nullptr) {
-        std::rethrow_exception(
-            errors[static_cast<std::size_t>(g) * devices + dev]);
-      }
-    }
-  }
 
   // Loss accumulation in the reference order: a per-replica partial sum
   // (micros ascending, elements in order), partials folded in ascending
   // replica order — bit-identical to summing each replica's wave result
   // sequentially.
-  TensorPool& pool = TensorPool::global();
   double sse = 0.0;
   for (int g = 0; g < G; ++g) {
     double replica_sse = 0.0;
     for (int m = 0; m < M; ++m) {
-      const Tensor& p = preds[g][m];
+      Tensor& p = preds[static_cast<std::size_t>(g) * M + m];
       const Tensor& t = inputs[g].micros[m].noise;
       DPIPE_ENSURE(p.shape() == t.shape(), "pred/target shape mismatch");
       for (std::int64_t i = 0; i < p.numel(); ++i) {
         const float d = p.data()[i] - t.data()[i];
         replica_sse += static_cast<double>(d) * d;
       }
-      pool.release(std::move(preds[g][m]));
+      pool.release(std::move(p));
     }
     sse += replica_sse;
   }
   return sse;  // Caller normalizes over the global batch.
 }
-
-namespace {
-
-/// Resumable per-device state of one forward_wave (the no-grad
-/// self-conditioning pass) — same scheduling and stage-dispatch contract
-/// as DeviceExec.
-class ForwardExec {
- public:
-  enum class Status { kBlocked, kDone };
-
-  ForwardExec(const ProgramBinding& b, const DdpmProblem& problem,
-              const ProgramInterpreter::ReplicaState& replica,
-              const ProgramInterpreter::WaveInputs& inputs, int dev, int S,
-              int M, int per_micro, std::vector<Channel<Tensor>>& act,
-              std::vector<Tensor>& outputs, WaveScheduler& sched)
-      : b_(b),
-        problem_(problem),
-        replica_(replica),
-        in_(inputs),
-        S_(S),
-        M_(M),
-        per_micro_(per_micro),
-        act_(act),
-        outputs_(outputs),
-        sched_(sched),
-        stream_(b.program().per_device[dev]),
-        owned_(b.stages_of_device(dev)),
-        loaded_(M),
-        inbox_(owned_.size(), std::vector<Tensor>(M)) {}
-
-  Status run() {
-    while (ip_ < stream_.size()) {
-      const Instruction& instr = stream_[ip_];
-      switch (instr.kind) {
-        case InstrKind::kLoadMicroBatch: {
-          const int m = instr.micro;
-          const int lo = m * per_micro_;
-          const Tensor cond_rows = in_.cond->slice_rows(
-              in_.row_offset + lo, in_.row_offset + lo + per_micro_);
-          loaded_[m] = problem_.make_input(in_.micros[m], cond_rows, nullptr);
-          break;
-        }
-        case InstrKind::kRecvActivation: {
-          const int s = instr.stage;
-          Tensor recv;
-          switch (act_[s - 1].try_pop(recv)) {
-            case TryPop::kValue:
-              inbox_[b_.slot_of_stage(s)][instr.micro] = std::move(recv);
-              break;
-            case TryPop::kEmpty:
-              return Status::kBlocked;
-            case TryPop::kClosed:
-              return finish();
-          }
-          break;
-        }
-        case InstrKind::kForward: {
-          const int s = instr.stage;
-          const int slot = b_.slot_of_stage(s);
-          const int m = instr.micro;
-          Tensor x =
-              s == 0 ? std::move(loaded_[m]) : std::move(inbox_[slot][m]);
-          Tensor y = replica_.net->forward_range(
-              std::move(x), b_.module_begin(s), b_.module_end(s));
-          if (s == S_ - 1) {
-            outputs_[m] = std::move(y);
-          } else {
-            inbox_[slot][m] = std::move(y);
-          }
-          break;
-        }
-        case InstrKind::kSendActivation: {
-          const int s = instr.stage;
-          if (!act_[s].push(
-                  std::move(inbox_[b_.slot_of_stage(s)][instr.micro]))) {
-            return finish();
-          }
-          sched_.wake(static_cast<std::size_t>(b_.device_of_stage(s + 1)));
-          break;
-        }
-        default:
-          break;  // No-grad pass: backward/opt/frozen ops are inert.
-      }
-      ++ip_;
-    }
-    // Discard the stashed contexts of this no-grad pass, per owned stage.
-    // Reached only on natural completion (an aborted task skips it).
-    for (const int s : owned_) {
-      for (int m = 0; m < M_; ++m) {
-        replica_.net->drop_context_range(b_.module_begin(s),
-                                         b_.module_end(s));
-      }
-    }
-    return Status::kDone;
-  }
-
- private:
-  Status finish() {
-    ip_ = stream_.size() + 1;  // Past-the-end: skip the context drop too.
-    return Status::kDone;
-  }
-
-  const ProgramBinding& b_;
-  const DdpmProblem& problem_;
-  const ProgramInterpreter::ReplicaState& replica_;
-  const ProgramInterpreter::WaveInputs& in_;
-  int S_;
-  int M_;
-  int per_micro_;
-  std::vector<Channel<Tensor>>& act_;
-  std::vector<Tensor>& outputs_;
-  WaveScheduler& sched_;
-  const std::vector<Instruction>& stream_;
-  const std::vector<int>& owned_;  ///< Stages this device owns, slot order.
-  std::vector<Tensor> loaded_;
-  std::vector<std::vector<Tensor>> inbox_;  ///< [slot][micro].
-  std::size_t ip_ = 0;
-};
-
-}  // namespace
 
 std::vector<Tensor> ProgramInterpreter::forward_wave(
     const ReplicaState& replica, const WaveInputs& inputs) const {
@@ -958,33 +692,33 @@ std::vector<Tensor> ProgramInterpreter::forward_wave(
                 "micro-batch count mismatch with the program");
   DPIPE_REQUIRE(inputs.cond != nullptr, "wave needs encoder outputs");
   const int per_micro = b.rows_per_replica() / M;
-  const int devices = b.program().group_size;
-  std::vector<Channel<Tensor>> act(S);
+  std::vector<Tensor> act(static_cast<std::size_t>(S) * M);  // [s * M + m].
   std::vector<Tensor> outputs(M);
-  std::vector<std::exception_ptr> errors(devices);
-  WaveScheduler sched(static_cast<std::size_t>(devices));
-  std::vector<std::unique_ptr<ForwardExec>> tasks;
-  tasks.reserve(devices);
-  for (int dev = 0; dev < devices; ++dev) {
-    tasks.push_back(std::make_unique<ForwardExec>(b, *problem_, replica,
-                                                  inputs, dev, S, M, per_micro,
-                                                  act, outputs, sched));
-  }
-  sched.run(wave_width(tasks.size()), [&](std::size_t t) {
-    try {
-      return tasks[t]->run() == ForwardExec::Status::kDone;
-    } catch (...) {
-      errors[t] = std::current_exception();
-      for (Channel<Tensor>& ch : act) {
-        ch.close();
+  run_order(forward_order_,
+            wave_width(static_cast<std::size_t>(b.program().group_size)),
+            [&](const WaveNode& node) {
+    const Instruction& instr = b.program().per_device[node.device][node.instr];
+    const int s = instr.stage;
+    const int m = instr.micro;
+    if (instr.kind == InstrKind::kLoadMicroBatch) {
+      const int lo = inputs.row_offset + m * per_micro;
+      const Tensor cond_rows = inputs.cond->slice_rows(lo, lo + per_micro);
+      act[m] = problem_->make_input(inputs.micros[m], cond_rows, nullptr);
+    } else if (instr.kind == InstrKind::kForward) {
+      Tensor y = replica.net->forward_range(
+          std::move(act[static_cast<std::size_t>(s) * M + m]),
+          b.module_begin(s), b.module_end(s));
+      if (s == S - 1) {
+        outputs[m] = std::move(y);
+      } else {
+        act[static_cast<std::size_t>(s + 1) * M + m] = std::move(y);
       }
-      sched.wake_all();
-      return true;
     }
   });
-  for (const std::exception_ptr& error : errors) {
-    if (error != nullptr) {
-      std::rethrow_exception(error);
+  // Discard the stashed contexts of this no-grad pass.
+  for (int s = 0; s < S; ++s) {
+    for (int m = 0; m < M; ++m) {
+      replica.net->drop_context_range(b.module_begin(s), b.module_end(s));
     }
   }
   return outputs;

@@ -14,16 +14,15 @@
 namespace dpipe::rt {
 
 /// How pipeline waves run on this host, as reported in benchmark host
-/// stamps. ProgramInterpreter runs a wave's per-(replica, device) tasks as
-/// resumable state machines on the process-wide executor
-/// (common/parallel.h): a task runs until its next channel pop or allreduce
-/// barrier would block, then parks until the peer that unblocks it wakes
-/// it. How many executor threads a wave uses comes from the program's
-/// shapes: 1 (cooperative on the calling thread) when the cheapest stage
-/// op's forward FLOPs are below kParallelCostThreshold, else min(executor
-/// width, tasks). Every value is a pure function of the inputs, so all
-/// widths are bit-identical. wave_exec() is kSerial when the executor's
-/// width is 1 (no wave can use a second thread), else kThreads.
+/// stamps. ProgramInterpreter runs every wave as one static op order that
+/// it fixed at construction: `width` participants on the process-wide
+/// executor (common/parallel.h) claim the order's ops in turn and wait only
+/// on an op's unfinished predecessors. The width comes from the program's
+/// shapes (see ProgramInterpreter::wave_width), so a wave of cheap stage
+/// ops is a flat loop on the calling thread. Every value is a pure function
+/// of the inputs, so all widths are bit-identical. wave_exec() is kSerial
+/// when the executor's width is 1 (no wave can use a second thread), else
+/// kThreads.
 enum class WaveExec { kThreads, kSerial };
 
 [[nodiscard]] const char* wave_exec_name(WaveExec mode);
@@ -139,22 +138,32 @@ class ProgramBinding {
   std::vector<std::vector<FrozenSlot>> preamble_frozen_;
 };
 
-/// Executes a bound InstructionProgram on the functional runtime: one
-/// resumable task per device walks its instruction stream over real
-/// tensors, rt::Channels carry activations/gradients between stage tasks, a
-/// cross-replica rendezvous realizes kAllReduceGrads, and kOptimizerStep
-/// updates the stage's parameter slice in place. The cross-iteration
-/// kLoadMicroBatch fence is a channel the driver signals once the
-/// iteration's encoder outputs exist; kFrozenForward ops encode their bound
-/// row slice of the *next* iteration's conditioning into the sink tensor.
+/// Executes a bound InstructionProgram on the functional runtime. At
+/// construction it compiles the program's steady streams into one static
+/// wave order (the MPMD lowering of JaxPP, arXiv 2412.14374): every
+/// instruction of every device and replica becomes a node that waits on
+/// the previous op of its device, a receive also on its FIFO-paired send
+/// (keyed by stage boundary and micro-batch), and each stage's
+/// kAllReduceGrads is one node shared by all replicas, which waits on
+/// every replica's preceding op. An ASAP list simulation (forward costs
+/// 1x, backward 2x the stage's forward FLOPs, other ops 0) sorts the nodes
+/// topologically, ties in (device, stream) order, and the replicas are
+/// laid out replica-inner, so neighbouring entries can run concurrently.
+/// A program whose streams wait on each other in a cycle has no such order
+/// and is rejected here with std::invalid_argument.
 ///
-/// All data-parallel replicas execute the program concurrently
-/// (group_size x replicas tasks per wave — one per device, each driving
-/// all of its owned virtual stages; see WaveExec for the threads they run
-/// on). Determinism: every value is a pure function of the inputs — task
-/// interleaving cannot change results because tensors flow point-to-point,
-/// the gradient reduction runs in ascending replica order under a lock, and
-/// per-stage optimizer updates touch disjoint parameter slices.
+/// A wave then runs that order: activations and gradients move through
+/// per-(replica, stage, micro) tensor slots (sends and receives do no
+/// work, so the order contracts them into edges: an op waits directly on
+/// the op that filled its slot), the shared allreduce sums gradients in
+/// ascending replica order, and kOptimizerStep updates the stage's
+/// parameter slice in place. kFrozenForward ops encode their bound row
+/// slice of the *next* iteration's conditioning into the sink tensor. A
+/// failing op aborts the wave: ops whose predecessors never finished never
+/// run, and since every kOptimizerStep depends on every forward through
+/// the shared allreduce, no optimizer steps before an abort. Determinism:
+/// every value is a pure function of the inputs, whichever thread runs an
+/// op.
 class ProgramInterpreter {
  public:
   /// Mutable training state of one data-parallel replica.
@@ -176,7 +185,8 @@ class ProgramInterpreter {
   };
 
   /// `backbone` is a network of the replicas' shape; only its parameter
-  /// shapes are read, to size the waves (see WaveExec).
+  /// shapes are read, to cost the order's ops and size the waves. The
+  /// number of replicas is global_batch / binding.rows_per_replica().
   ProgramInterpreter(const DdpmProblem& problem,
                      const ProgramBinding& binding, int global_batch,
                      Sequential& backbone);
@@ -205,15 +215,49 @@ class ProgramInterpreter {
                     ExecutionLog* log) const;
 
  private:
-  /// Participants of a wave of `tasks` resumable tasks: 1 (cooperative on
-  /// the caller) when the cheapest stage op is below
-  /// kParallelCostThreshold, else min(executor width, tasks).
+  /// One op of a static wave order.
+  struct WaveNode {
+    int replica = 0;      ///< -1: the stage's shared kAllReduceGrads.
+    int device = 0;
+    int instr = 0;        ///< Index into the device's steady stream.
+    int frozen_slot = 0;  ///< steady_frozen()[device] index of the op's
+                          ///< first layer (kFrozenForward only).
+    int pred_begin = 0;   ///< The nodes it waits on:
+    int pred_end = 0;     ///< WaveOrder::preds[pred_begin, pred_end).
+  };
+  /// Nodes in execution order; every predecessor precedes its successors.
+  struct WaveOrder {
+    std::vector<WaveNode> nodes;
+    std::vector<int> preds;
+  };
+
+  /// The order over `replicas` copies of the steady streams, or over the
+  /// load/recv/forward/send ops alone (`forward_only`, forward_wave).
+  [[nodiscard]] WaveOrder build_order(
+      const std::vector<std::int64_t>& stage_flops, int replicas,
+      bool forward_only) const;
+
+  /// Runs op(node) for every node of `order` on `width` participants. Each
+  /// claims the next node through one cursor and waits on the done flags
+  /// of its unfinished predecessors, all earlier in the order, so the
+  /// earliest unfinished claimed node can always run and no participant
+  /// count deadlocks; at width 1 nothing waits. The first exception aborts
+  /// the wave (waiters wake, no further node runs) and is rethrown.
+  template <typename Op>
+  static void run_order(const WaveOrder& order, int width, const Op& op);
+
+  /// Participants of a wave whose ops span `tasks` (replica, device)
+  /// streams: 1 (a flat loop on the caller) when the cheapest stage op is
+  /// below kParallelCostThreshold, else min(executor width, tasks).
   [[nodiscard]] int wave_width(std::size_t tasks) const;
 
   const DdpmProblem* problem_;
   const ProgramBinding* binding_;
   int global_batch_;
+  int replicas_ = 1;  ///< global_batch / rows_per_replica.
   std::int64_t min_stage_flops_ = 0;  ///< Cheapest stage op's forward FLOPs.
+  WaveOrder train_order_;    ///< All replicas' steady streams.
+  WaveOrder forward_order_;  ///< One replica's no-grad forward replay.
 };
 
 /// The PipelineTrainer's program generation: a synthetic ModelDesc whose

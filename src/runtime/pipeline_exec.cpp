@@ -668,6 +668,20 @@ std::vector<Tensor> read_tensor_list(std::istream& in) {
 
 void save_checkpoint(std::ostream& out, const TrainerCheckpoint& ckpt) {
   checked_module_count(ckpt);
+  const auto require_defined = [](const std::vector<Tensor>& list) {
+    for (const Tensor& t : list) {
+      DPIPE_REQUIRE(t.defined(), "checkpoint holds an undefined tensor");
+    }
+  };
+  require_defined(ckpt.pending_cond);
+  for (const TrainerCheckpoint::StageShard& shard : ckpt.shards) {
+    for (const std::vector<std::vector<Tensor>>* lists :
+         {&shard.params, &shard.adam_m, &shard.adam_v}) {
+      for (const std::vector<Tensor>& list : *lists) {
+        require_defined(list);
+      }
+    }
+  }
   out << "dpipe-checkpoint v1\n";
   out << "iteration " << ckpt.iteration << '\n';
   out << "global_batch " << ckpt.global_batch << '\n';

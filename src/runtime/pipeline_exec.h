@@ -109,7 +109,10 @@ struct ReshardReport {
 /// Byte-exact on-disk serialization ("dpipe-checkpoint v1", a line-based
 /// text format like serialize.h's program format). Floats and doubles are
 /// written as hex bit patterns, so save -> load -> save is byte-identical
-/// and a loaded checkpoint resumes the exact trajectory.
+/// and a loaded checkpoint resumes the exact trajectory. save_checkpoint
+/// throws std::invalid_argument, before writing anything, when a tensor of
+/// `ckpt` is undefined (default-constructed): the format has no encoding
+/// for one.
 void save_checkpoint(std::ostream& out, const TrainerCheckpoint& ckpt);
 [[nodiscard]] TrainerCheckpoint load_checkpoint(std::istream& in);
 

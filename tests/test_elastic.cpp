@@ -243,6 +243,32 @@ TEST(CheckpointIo, TensorElementCountOverflowFails) {
   EXPECT_THROW(load_checkpoint(bad), std::invalid_argument);
 }
 
+TEST(CheckpointIo, UndefinedTensorIsRejectedBeforeWriting) {
+  // The format has no encoding for an undefined tensor (it would read back
+  // as one element): save refuses it up front and writes nothing.
+  {
+    TrainerCheckpoint ckpt = sample_checkpoint(false);
+    ckpt.pending_cond.push_back(Tensor());
+    std::stringstream out;
+    EXPECT_THROW(save_checkpoint(out, ckpt), std::invalid_argument);
+    EXPECT_TRUE(out.str().empty());
+  }
+  {
+    TrainerCheckpoint ckpt = sample_checkpoint(true);
+    std::vector<Tensor>* moments = nullptr;
+    for (std::vector<Tensor>& list : ckpt.shards.back().adam_v) {
+      if (!list.empty()) {
+        moments = &list;
+      }
+    }
+    ASSERT_NE(moments, nullptr);
+    moments->back() = Tensor();
+    std::stringstream out;
+    EXPECT_THROW(save_checkpoint(out, ckpt), std::invalid_argument);
+    EXPECT_TRUE(out.str().empty());
+  }
+}
+
 /// Elastic controller options for a 2-stage x 2-replica (world 4) run.
 ElasticOptions small_world_options(bool use_adam) {
   ElasticOptions eopts;

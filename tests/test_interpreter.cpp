@@ -8,9 +8,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <memory>
 #include <string>
 #include <vector>
 
+#include "common/parallel.h"
 #include "core/instr/validate.h"
 #include "engine/engine.h"
 #include "runtime/dp_trainer.h"
@@ -295,12 +298,12 @@ TEST(WaveWidth, AboveThresholdBitExactAcrossWidths) {
   expect_bit_exact_across_widths(/*wide=*/true, 4);
 }
 
-TEST(WaveWidth, StageFailureAtWidthFourReleasesParkedTasks) {
-  // Waves of the wide shape fan out over four executor threads. A stage
-  // that throws mid-wave must abort it: every parked peer is woken, sees
-  // its channels closed or barrier aborted and finishes, and the failure
-  // escapes train() instead of wedging the executor. The executor stays
-  // usable afterwards.
+TEST(WaveWidth, StageFailureAtWidthFourAbortsTheWave) {
+  // Waves of the wide shape fan out over four executor threads. A forward
+  // that throws mid-wave must abort it: participants waiting on a
+  // predecessor are woken, no op whose predecessors never finished runs,
+  // and the failure escapes train() instead of wedging the executor. The
+  // executor stays usable afterwards.
   ExecutorWidthGuard guard;
   set_kernel_threads(4);
   WidthCase c(/*wide=*/true);
@@ -316,6 +319,51 @@ TEST(WaveWidth, StageFailureAtWidthFourReleasesParkedTasks) {
   PipelineTrainer healthy(problem, c.cfg);
   healthy.train(2);
   EXPECT_EQ(healthy.losses().size(), 2u);
+}
+
+TEST(WaveWidth, NestedWaveWithNoIdleWorkers) {
+  // A trainer driven from inside a full-width fork-join: its waves find
+  // every worker busy, so only the calling thread joins them and it runs
+  // each wave's whole order alone. A node only waits on nodes earlier in
+  // the order, so this cannot deadlock, and the bits match width 1.
+  ExecutorWidthGuard guard;
+  const WidthCase c(/*wide=*/true);
+  const DdpmProblem problem(c.ddpm);
+  const int iterations = 3;
+  set_kernel_threads(1);
+  PipelineTrainer reference(problem, c.cfg);
+  reference.train(iterations);
+
+  set_kernel_threads(4);  // Fresh workers: all three idle at the next call.
+  std::unique_ptr<PipelineTrainer> nested;
+  std::atomic<bool> trained{false};
+  struct Release {
+    std::atomic<bool>& flag;
+    ~Release() {
+      flag.store(true);
+      flag.notify_all();
+    }
+  };
+  parallel_for(4, 4, [&](std::size_t i) {
+    if (i != 0) {
+      // Index 0 is always claimed first; hold this thread until it is done
+      // so no worker is idle while the trainer runs.
+      trained.wait(false);
+      return;
+    }
+    const Release release{trained};
+    nested = std::make_unique<PipelineTrainer>(problem, c.cfg);
+    nested->train(iterations);
+  });
+  ASSERT_NE(nested, nullptr);
+  EXPECT_FLOAT_EQ(
+      params_diff(reference.snapshot_params(), nested->snapshot_params()),
+      0.0f);
+  ASSERT_EQ(reference.losses().size(), nested->losses().size());
+  for (std::size_t i = 0; i < reference.losses().size(); ++i) {
+    EXPECT_DOUBLE_EQ(reference.losses()[i], nested->losses()[i]) << i;
+  }
+  EXPECT_EQ(reference.execution_log(), nested->execution_log());
 }
 
 TEST(Interpreter, RejectsCorruptedPrograms) {
@@ -349,6 +397,39 @@ TEST(Interpreter, RejectsCorruptedPrograms) {
     InstructionProgram bad = l.program;
     std::swap(bad.per_device[0], bad.per_device[1]);
     EXPECT_THROW(PipelineTrainer(problem, cfg, bad), std::invalid_argument);
+  }
+}
+
+TEST(Interpreter, RejectsStreamsThatWaitInACycle) {
+  // Device 0 sends its activation only after receiving the gradient,
+  // which needs that activation's forward on device 1 first: the streams
+  // wait on each other, so no wave order exists. With one micro-batch every
+  // per-channel order check passes, and the wave order's cycle check
+  // rejects the program while the trainer is built, never inside train().
+  const DdpmProblem problem(DdpmConfig{});
+  TrainerLoweringSpec spec;
+  spec.num_stages = 2;
+  spec.num_microbatches = 1;
+  spec.global_batch = 8;
+  spec.num_modules = problem.make_backbone()->size();
+  InstructionProgram bad = lower_trainer_program(spec).program;
+  std::vector<Instruction>& stream = bad.per_device[0];
+  const auto first = [&](InstrKind kind) {
+    return std::find_if(stream.begin(), stream.end(),
+                        [&](const Instruction& i) { return i.kind == kind; });
+  };
+  const auto send = first(InstrKind::kSendActivation);
+  const auto recv = first(InstrKind::kRecvGradient);
+  ASSERT_TRUE(send != stream.end() && recv != stream.end() && send < recv);
+  std::rotate(send, send + 1, recv + 1);
+  PipelineRtConfig cfg;
+  cfg.global_batch = 8;
+  try {
+    PipelineTrainer trainer(problem, cfg, bad);
+    ADD_FAILURE() << "a cyclic program was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("cycle"), std::string::npos)
+        << e.what();
   }
 }
 

@@ -174,7 +174,7 @@ TEST(ProfileDbInterp, RangeQueryMatchesPerLayerSum) {
   const int L = f.model.components[b].num_layers();
   // On-grid, off-grid, and extrapolated batch sizes.
   for (const double batch : {1.0, 5.5, 17.3, 96.0, 400.0}) {
-    for (const auto [lo, hi] :
+    for (const auto& [lo, hi] :
          std::vector<std::pair<int, int>>{{0, L}, {3, 11}, {L / 2, L}}) {
       double fwd_sum = 0.0;
       double bwd_sum = 0.0;

@@ -373,9 +373,9 @@ TEST(Channel, CloseWakesBlockedConsumer) {
 }
 
 TEST(PipelineTrainer, StageFailurePropagatesWithoutHanging) {
-  // A stage task that dies mid-wave must abort the whole wave cleanly:
-  // parked peers are woken and find their channels closed, and the
-  // failure escapes train() instead of deadlocking the trainer.
+  // A forward that fails mid-wave must abort the whole wave cleanly: no op
+  // whose predecessors never finished runs, and the failure escapes
+  // train() instead of deadlocking the trainer.
   const DdpmProblem problem(DdpmConfig{});
   PipelineRtConfig cfg;
   cfg.num_stages = 3;

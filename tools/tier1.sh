@@ -8,7 +8,8 @@
 # concurrent TensorPool), and the plan-service suites (single-flight cache,
 # the stage-cost store's single-owner guard, concurrent request
 # determinism), then an
-# AddressSanitizer + UBSan build running the text codec suites, ending with
+# AddressSanitizer + UBSan build running the text codec suites and the
+# wave executor's suites (its flat node and done-flag arrays), ending with
 # a socket-level request-storm smoke of dpipe_plan_serve.
 # Run from the repository root.
 set -euo pipefail
@@ -37,16 +38,19 @@ TSAN_OPTIONS="halt_on_error=1" DPIPE_THREADS=4 \
   ./build-tsan/tests/dpipe_tests \
   --gtest_filter='Channel.*:PipelineTrainer.*:Equivalence.*:Fault.*:ParallelFor.*:Executor.*:WaveWidth.*:PlannerSearch.*:Kernels.*:TensorPool.*:Trajectory.*:RngSeed.*:SimdDispatch.*:SimdParity.*:Interpreter.*:Parity.*:Interleaved.*:Elastic.*:Reshard.*:CheckpointIo.*:PlanFingerprint.*:StageCostStore.*:PlanCache.*:PlanStore.*:PlanService.*:PlanProtocol.*:Eltwise*'
 
-echo "== tier-1: AddressSanitizer + UBSan build (text codecs) =="
+echo "== tier-1: AddressSanitizer + UBSan build (text codecs, wave executor) =="
 # The canonical writer formats numbers into fixed stack buffers and the
 # readers parse outside bytes: run the request/model/cluster/profiler
 # fingerprint, plan store, wire protocol, checkpoint and .dpipe serializer
 # suites (golden bytes, edge values, hostile numbers) under ASan + UBSan.
+# The interpreter's static wave order indexes flat node, predecessor,
+# done-flag and tensor-slot arrays: its width, interpreter and interleaved
+# suites run here too.
 cmake -B build-asan -S . -DDPIPE_SANITIZE=address
 cmake --build build-asan -j"$(nproc)" --target dpipe_tests
 ASAN_OPTIONS="halt_on_error=1" UBSAN_OPTIONS="print_stacktrace=1" \
   ./build-asan/tests/dpipe_tests \
-  --gtest_filter='PlanFingerprint.*:PlanStore.*:PlanProtocol.*:CheckpointIo.*:Serialize.*'
+  --gtest_filter='PlanFingerprint.*:PlanStore.*:PlanProtocol.*:CheckpointIo.*:Serialize.*:WaveWidth.*:Interpreter.*:Interleaved.*'
 
 echo "== tier-1: interleaved schedule smoke (executor widths 1 and 4) =="
 # The interleaved family exercises multi-virtual-stage device timelines on
