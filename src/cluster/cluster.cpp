@@ -1,6 +1,6 @@
 #include "cluster/cluster.h"
 
-#include <istream>
+#include <limits>
 
 namespace dpipe {
 
@@ -17,6 +17,9 @@ void validate(const ClusterSpec& cluster) {
   require(cluster.num_machines >= 1, "num_machines must be >= 1");
   require(cluster.devices_per_machine >= 1,
           "devices_per_machine must be >= 1");
+  require(cluster.num_machines <=
+              std::numeric_limits<int>::max() / cluster.devices_per_machine,
+          "world size overflows int");
   require(cluster.device.peak_tflops > 0.0, "peak_tflops must be positive");
   require(cluster.device.memory_gb > 0.0, "memory_gb must be positive");
   require(cluster.intra.bandwidth_gbps > 0.0 &&
@@ -39,27 +42,24 @@ void write_canonical(CanonicalWriter& out, const ClusterSpec& cluster) {
       << cluster.inter.latency_ms << '\n';
 }
 
-ClusterSpec read_canonical_cluster(std::istream& in) {
-  std::string line;
-  while (std::getline(in, line) && line.empty()) {
-  }
-  require(line == "dpipe-cluster v1", "not a dpipe-cluster v1 block");
+ClusterSpec read_canonical_cluster(CanonicalReader& in) {
+  in.keyword("dpipe-cluster");
+  in.keyword("v1");
   ClusterSpec cluster;
-  expect_keyword(in, "shape");
-  cluster.num_machines = read_integer<int>(in, "num_machines");
-  cluster.devices_per_machine = read_integer<int>(in, "devices_per_machine");
-  expect_keyword(in, "device");
-  cluster.device.peak_tflops = read_double(in, "peak_tflops");
-  cluster.device.memory_gb = read_double(in, "memory_gb");
-  cluster.device.mem_bw_gbps = read_double(in, "mem_bw_gbps");
-  cluster.device.name = read_name_field(in, "name=");
-  expect_keyword(in, "intra");
-  cluster.intra.bandwidth_gbps = read_double(in, "intra bandwidth");
-  cluster.intra.latency_ms = read_double(in, "intra latency");
-  expect_keyword(in, "inter");
-  cluster.inter.bandwidth_gbps = read_double(in, "inter bandwidth");
-  cluster.inter.latency_ms = read_double(in, "inter latency");
-  std::getline(in, line);  // Consume the trailing newline.
+  in.keyword("shape");
+  cluster.num_machines = in.integer<int>("num_machines");
+  cluster.devices_per_machine = in.integer<int>("devices_per_machine");
+  in.keyword("device");
+  cluster.device.peak_tflops = in.real("peak_tflops");
+  cluster.device.memory_gb = in.real("memory_gb");
+  cluster.device.mem_bw_gbps = in.real("mem_bw_gbps");
+  cluster.device.name = in.name_field("name=");
+  in.keyword("intra");
+  cluster.intra.bandwidth_gbps = in.real("intra bandwidth");
+  cluster.intra.latency_ms = in.real("intra latency");
+  in.keyword("inter");
+  cluster.inter.bandwidth_gbps = in.real("inter bandwidth");
+  cluster.inter.latency_ms = in.real("inter latency");
   validate(cluster);
   return cluster;
 }

@@ -1,6 +1,5 @@
 #pragma once
 
-#include <iosfwd>
 #include <string>
 #include <vector>
 
@@ -65,6 +64,6 @@ void write_canonical(CanonicalWriter& out, const ClusterSpec& cluster);
 /// Parses write_canonical output (byte-identity on re-serialization).
 /// Throws std::invalid_argument on malformed input, including malformed
 /// numbers.
-[[nodiscard]] ClusterSpec read_canonical_cluster(std::istream& in);
+[[nodiscard]] ClusterSpec read_canonical_cluster(CanonicalReader& in);
 
 }  // namespace dpipe

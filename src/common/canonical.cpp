@@ -1,6 +1,5 @@
 #include "common/canonical.h"
 
-#include <istream>
 #include <stdexcept>
 
 namespace dpipe {
@@ -29,8 +28,6 @@ void require_whole_number(std::string_view token,
 
 }  // namespace detail
 
-namespace {
-
 double parse_double(std::string_view token, std::string_view field) {
   double value = 0.0;
   detail::require_whole_number(
@@ -41,43 +38,61 @@ double parse_double(std::string_view token, std::string_view field) {
   return value;
 }
 
-}  // namespace
+void CanonicalReader::truncated(std::string_view field) {
+  throw std::invalid_argument("truncated input, expected " +
+                              std::string(field));
+}
 
-std::string read_token(std::istream& in, std::string_view field) {
-  std::string token;
-  if (!(in >> token)) {
-    throw std::invalid_argument("truncated input, expected " +
-                                std::string(field));
+std::string_view CanonicalReader::line(std::string_view field) {
+  if (rest_.empty()) {
+    truncated(field);
   }
-  return token;
+  const std::size_t end = rest_.find('\n');
+  const std::string_view line = rest_.substr(0, end);
+  rest_.remove_prefix(end == std::string_view::npos ? rest_.size() : end + 1);
+  return line;
 }
 
-std::string_view field_value(std::string_view token, std::string_view key) {
-  if (!token.starts_with(key)) {
-    throw std::invalid_argument("expected " + std::string(key) + " field");
-  }
-  return token.substr(key.size());
-}
-
-std::string read_name_field(std::istream& in, std::string_view key) {
-  const std::string token = read_token(in, key);
-  std::string rest;
-  std::getline(in, rest);
-  return std::string(field_value(token, key)) + rest;
-}
-
-void expect_keyword(std::istream& in, std::string_view keyword) {
-  if (read_token(in, keyword) != keyword) {
+void CanonicalReader::keyword(std::string_view keyword) {
+  if (token(keyword) != keyword) {
     throw std::invalid_argument("expected keyword " + std::string(keyword));
   }
 }
 
-double read_double(std::istream& in, std::string_view field) {
-  return parse_double(read_token(in, field), field);
+std::string_view CanonicalReader::field(std::string_view key) {
+  const std::string_view value = token(key);
+  if (!value.starts_with(key)) {
+    throw std::invalid_argument("expected " + std::string(key) + " field");
+  }
+  return value.substr(key.size());
 }
 
-double read_double_field(std::istream& in, std::string_view key) {
-  return parse_double(field_value(read_token(in, key), key), key);
+std::string_view CanonicalReader::name_field(std::string_view key) {
+  const std::string_view value = field(key);
+  // The token ends where the rest of its line begins, so the name is one
+  // contiguous view over both.
+  const std::string_view tail = rest_.empty() ? rest_ : line(key);
+  return {value.data(), value.size() + tail.size()};
+}
+
+std::string_view CanonicalReader::bytes(std::size_t n,
+                                        std::string_view field) {
+  if (n > rest_.size()) {
+    truncated(field);
+  }
+  const std::string_view block = rest_.substr(0, n);
+  rest_.remove_prefix(n);
+  return block;
+}
+
+void CanonicalReader::expect_end(std::string_view field) {
+  for (const char c : rest_) {
+    if (!is_space(c)) {
+      throw std::invalid_argument("trailing bytes after " +
+                                  std::string(field));
+    }
+  }
+  rest_ = {};
 }
 
 }  // namespace dpipe

@@ -2,8 +2,7 @@
 
 #include <array>
 #include <cstdint>
-#include <istream>
-#include <sstream>
+#include <string_view>
 
 #include "common/canonical.h"
 #include "common/error.h"
@@ -19,13 +18,14 @@ constexpr std::array<InstrKind, 10> kAllKinds = {
     InstrKind::kRecvGradient,   InstrKind::kFrozenForward,
     InstrKind::kAllReduceGrads, InstrKind::kOptimizerStep};
 
-InstrKind kind_from_string(const std::string& text) {
+InstrKind kind_from_string(std::string_view text) {
   for (const InstrKind kind : kAllKinds) {
     if (text == to_string(kind)) {
       return kind;
     }
   }
-  throw std::invalid_argument("unknown instruction kind: " + text);
+  throw std::invalid_argument("unknown instruction kind: " +
+                              std::string(text));
 }
 
 void write_instruction(CanonicalWriter& out, const Instruction& i) {
@@ -35,47 +35,38 @@ void write_instruction(CanonicalWriter& out, const Instruction& i) {
       << " sz=" << i.size_mb << '\n';
 }
 
-/// Throws std::invalid_argument unless `tokens`, read from `line`, holds
-/// nothing after the fields already parsed.
-void require_line_consumed(std::istream& tokens, const std::string& line) {
-  std::string extra;
-  require(!(tokens >> extra), "trailing bytes on line: " + line);
-}
-
-Instruction parse_instruction(const std::string& line) {
-  std::istringstream tokens(line);
+Instruction parse_instruction(std::string_view line) {
+  CanonicalReader fields(line);
   Instruction i;
-  i.kind = kind_from_string(read_token(tokens, "instruction kind"));
-  i.backbone = read_integer_field<int>(tokens, "b=");
-  i.stage = read_integer_field<int>(tokens, "s=");
-  i.micro = read_integer_field<int>(tokens, "m=");
-  i.component = read_integer_field<int>(tokens, "c=");
-  const std::string range_token = read_token(tokens, "l=");
-  const std::string_view range = field_value(range_token, "l=");
+  i.kind = kind_from_string(fields.token("instruction kind"));
+  i.backbone = fields.integer_field<int>("b=");
+  i.stage = fields.integer_field<int>("s=");
+  i.micro = fields.integer_field<int>("m=");
+  i.component = fields.integer_field<int>("c=");
+  const std::string_view range = fields.field("l=");
   const std::size_t colon = range.find(':');
   require(colon != std::string_view::npos, "malformed layer range");
   i.layer_begin = parse_integer<int>(range.substr(0, colon), "l=");
   i.layer_end = parse_integer<int>(range.substr(colon + 1), "l=");
-  i.samples = read_double_field(tokens, "n=");
-  i.peer = read_integer_field<int>(tokens, "p=");
-  i.size_mb = read_double_field(tokens, "sz=");
-  require_line_consumed(tokens, line);
+  i.samples = fields.real_field("n=");
+  i.peer = fields.integer_field<int>("p=");
+  i.size_mb = fields.real_field("sz=");
+  fields.expect_end("instruction line");
   return i;
 }
 
 }  // namespace
 
-InstructionProgram load_program(std::istream& in) {
-  std::string line;
-  require(std::getline(in, line) && line == "dpipe-program v1",
+InstructionProgram program_from_string(std::string_view text) {
+  CanonicalReader in(text);
+  require(in.line("program header") == "dpipe-program v1",
           "not a dpipe-program v1 file");
   // Every header line is parsed whole: `<key> <integer>` and nothing else.
-  const auto header_value = [&in, &line](const std::string& key) {
-    require(static_cast<bool>(std::getline(in, line)), "expected " + key);
-    std::istringstream header(line);
-    expect_keyword(header, key);
-    const int value = read_integer<int>(header, key);
-    require_line_consumed(header, line);
+  const auto header_value = [&in](std::string_view key) {
+    CanonicalReader header(in.line(key));
+    header.keyword(key);
+    const int value = header.integer<int>(key);
+    header.expect_end(key);
     return value;
   };
   InstructionProgram program;
@@ -94,23 +85,20 @@ InstructionProgram load_program(std::istream& in) {
   std::vector<Section> sections;
   const std::int64_t num_sections = 2 * std::int64_t{program.group_size};
   for (std::int64_t section = 0; section < num_sections; ++section) {
-    require(static_cast<bool>(std::getline(in, line)),
-            "truncated program: missing device section");
-    std::istringstream header(line);
-    expect_keyword(header, "device");
-    const int dev = read_integer<int>(header, "device");
-    const std::string phase = read_token(header, "device phase");
-    const auto count = read_integer<std::size_t>(header, "instruction count");
-    require_line_consumed(header, line);
+    const std::string_view line = in.line("device section");
+    CanonicalReader header(line);
+    header.keyword("device");
+    const int dev = header.integer<int>("device");
+    const std::string_view phase = header.token("device phase");
+    const auto count = header.integer<std::size_t>("instruction count");
+    header.expect_end("device section header");
     require(dev >= 0 && dev < program.group_size &&
                 (phase == "preamble" || phase == "steady"),
-            "malformed device section header: " + line);
+            "malformed device section header: " + std::string(line));
     Section& target =
         sections.emplace_back(Section{dev, phase == "steady", {}});
     for (std::size_t n = 0; n < count; ++n) {
-      require(static_cast<bool>(std::getline(in, line)),
-              "truncated program: missing instruction");
-      target.instructions.push_back(parse_instruction(line));
+      target.instructions.push_back(parse_instruction(in.line("instruction")));
     }
   }
   program.preamble.resize(program.group_size);
@@ -144,11 +132,6 @@ std::string program_to_string(const InstructionProgram& program) {
     }
   }
   return out.take();
-}
-
-InstructionProgram program_from_string(const std::string& text) {
-  std::istringstream in(text);
-  return load_program(in);
 }
 
 }  // namespace dpipe

@@ -1,7 +1,7 @@
 #pragma once
 
-#include <iosfwd>
 #include <string>
+#include <string_view>
 
 #include "core/instr/instructions.h"
 
@@ -26,7 +26,6 @@ namespace dpipe {
 /// std::invalid_argument on malformed input (wrong magic, unknown
 /// instruction kind, truncated or malformed numeric fields, stray bytes,
 /// inconsistent device count).
-[[nodiscard]] InstructionProgram load_program(std::istream& in);
-[[nodiscard]] InstructionProgram program_from_string(const std::string& text);
+[[nodiscard]] InstructionProgram program_from_string(std::string_view text);
 
 }  // namespace dpipe

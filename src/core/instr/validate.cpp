@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <map>
-#include <sstream>
 #include <tuple>
 
+#include "common/canonical.h"
 #include "common/error.h"
 
 namespace dpipe {
@@ -48,12 +48,12 @@ struct MsgSide {
 };
 
 std::string msg_name(const MsgKey& key) {
-  std::ostringstream out;
+  CanonicalWriter out;
   out << (std::get<5>(key) ? "gradient" : "activation") << " b"
       << std::get<2>(key) << " s" << std::get<3>(key) << " m"
       << std::get<4>(key) << " (" << std::get<0>(key) << "->"
       << std::get<1>(key) << ")";
-  return out.str();
+  return out.take();
 }
 
 void note(ValidationReport& report, int device, std::string message) {
@@ -63,14 +63,14 @@ void note(ValidationReport& report, int device, std::string message) {
 }  // namespace
 
 std::string ValidationReport::to_string() const {
-  std::ostringstream out;
+  CanonicalWriter out;
   for (const ValidationIssue& issue : issues) {
     if (issue.device >= 0) {
       out << "device " << issue.device << ": ";
     }
     out << issue.message << "\n";
   }
-  return out.str();
+  return out.take();
 }
 
 ValidationReport ProgramValidator::validate(
@@ -630,7 +630,7 @@ void require_valid_program(const InstructionProgram& program) {
 }
 
 std::string op_signature(const Instruction& instr) {
-  std::ostringstream out;
+  CanonicalWriter out;
   switch (instr.kind) {
     case InstrKind::kLoadMicroBatch:
       out << "load b" << instr.backbone << " m" << instr.micro;
@@ -654,7 +654,7 @@ std::string op_signature(const Instruction& instr) {
       out << to_string(instr.kind);
       break;
   }
-  return out.str();
+  return out.take();
 }
 
 std::vector<std::vector<std::string>> occupancy_trace(

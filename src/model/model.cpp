@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <istream>
 #include <numeric>
 
 namespace dpipe {
@@ -184,59 +183,53 @@ void write_canonical(CanonicalWriter& out, const ModelDesc& model) {
   out << '\n';
 }
 
-ModelDesc read_canonical_model(std::istream& in) {
-  std::string line;
-  // Tolerate a leading blank from a previous line-oriented reader.
-  while (std::getline(in, line) && line.empty()) {
-  }
-  require(line == "dpipe-model v1", "not a dpipe-model v1 block");
+ModelDesc read_canonical_model(CanonicalReader& in) {
+  in.keyword("dpipe-model");
+  in.keyword("v1");
   ModelDesc model;
-  model.name = read_name_field(in, "name=");
-  // The name line's getline consumed its newline; subsequent reads are
-  // token-based until the next name field. Counts are not trusted for
-  // up-front allocation: a hostile count fails at the first missing token.
-  expect_keyword(in, "self_conditioning");
-  model.self_conditioning = read_integer<int>(in, "self_conditioning") != 0;
-  model.self_cond_prob = read_double(in, "self_cond_prob");
-  expect_keyword(in, "image_size");
-  model.image_size = read_integer<int>(in, "image_size");
-  expect_keyword(in, "components");
-  const auto num_components = read_integer<std::size_t>(in, "components");
+  model.name = in.name_field("name=");
+  // Counts are not trusted for up-front allocation: a hostile count fails
+  // at the first missing token.
+  in.keyword("self_conditioning");
+  model.self_conditioning = in.integer<int>("self_conditioning") != 0;
+  model.self_cond_prob = in.real("self_cond_prob");
+  in.keyword("image_size");
+  model.image_size = in.integer<int>("image_size");
+  in.keyword("components");
+  const auto num_components = in.integer<std::size_t>("components");
   for (std::size_t ci = 0; ci < num_components; ++ci) {
-    expect_keyword(in, "component");
+    in.keyword("component");
     ComponentDesc c;
-    c.trainable = read_integer_field<int>(in, "trainable=") != 0;
-    const auto num_deps = read_integer_field<std::size_t>(in, "deps=");
+    c.trainable = in.integer_field<int>("trainable=") != 0;
+    const auto num_deps = in.integer_field<std::size_t>("deps=");
     for (std::size_t d = 0; d < num_deps; ++d) {
-      c.deps.push_back(read_integer<int>(in, "deps"));
+      c.deps.push_back(in.integer<int>("deps"));
     }
-    const auto num_layers = read_integer_field<std::size_t>(in, "layers=");
-    c.name = read_name_field(in, "name=");
+    const auto num_layers = in.integer_field<std::size_t>("layers=");
+    c.name = in.name_field("name=");
     for (std::size_t li = 0; li < num_layers; ++li) {
-      expect_keyword(in, "layer");
+      in.keyword("layer");
       LayerDesc l;
-      l.kind = layer_kind_from_string(
-          std::string(field_value(read_token(in, "kind="), "kind=")));
-      l.fwd_gflop = read_double_field(in, "fwd=");
-      l.bwd_flop_factor = read_double_field(in, "bwdf=");
-      l.param_mb = read_double_field(in, "param=");
-      l.grad_mb = read_double_field(in, "grad=");
-      l.output_mb = read_double_field(in, "out=");
-      l.act_mb = read_double_field(in, "act=");
-      l.overhead_fwd_ms = read_double_field(in, "ovf=");
-      l.overhead_bwd_ms = read_double_field(in, "ovb=");
-      l.efficiency = read_double_field(in, "eff=");
-      l.name = read_name_field(in, "name=");
+      l.kind = layer_kind_from_string(std::string(in.field("kind=")));
+      l.fwd_gflop = in.real_field("fwd=");
+      l.bwd_flop_factor = in.real_field("bwdf=");
+      l.param_mb = in.real_field("param=");
+      l.grad_mb = in.real_field("grad=");
+      l.output_mb = in.real_field("out=");
+      l.act_mb = in.real_field("act=");
+      l.overhead_fwd_ms = in.real_field("ovf=");
+      l.overhead_bwd_ms = in.real_field("ovb=");
+      l.efficiency = in.real_field("eff=");
+      l.name = in.name_field("name=");
       c.layers.push_back(std::move(l));
     }
     model.components.push_back(std::move(c));
   }
-  expect_keyword(in, "backbones");
-  const auto num_backbones = read_integer<std::size_t>(in, "backbones");
+  in.keyword("backbones");
+  const auto num_backbones = in.integer<std::size_t>("backbones");
   for (std::size_t b = 0; b < num_backbones; ++b) {
-    model.backbone_ids.push_back(read_integer<int>(in, "backbones"));
+    model.backbone_ids.push_back(in.integer<int>("backbones"));
   }
-  std::getline(in, line);  // Consume the trailing newline.
   return model;
 }
 

@@ -1,6 +1,5 @@
 #pragma once
 
-#include <iosfwd>
 #include <string>
 #include <vector>
 
@@ -108,6 +107,6 @@ void write_canonical(CanonicalWriter& out, const ModelDesc& model);
 /// malformed input, including a numeric field that is empty, out of range,
 /// or followed by stray bytes. read_canonical_model then write_canonical is
 /// byte-identity.
-[[nodiscard]] ModelDesc read_canonical_model(std::istream& in);
+[[nodiscard]] ModelDesc read_canonical_model(CanonicalReader& in);
 
 }  // namespace dpipe

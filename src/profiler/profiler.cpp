@@ -1,7 +1,5 @@
 #include "profiler/profiler.h"
 
-#include <istream>
-
 namespace dpipe {
 
 Profiler::Profiler(ProfilerOptions options) : options_(std::move(options)) {
@@ -53,25 +51,22 @@ void write_canonical(CanonicalWriter& out, const ProfilerOptions& options) {
       << '\n';
 }
 
-ProfilerOptions read_canonical_profiler_options(std::istream& in) {
-  std::string line;
-  while (std::getline(in, line) && line.empty()) {
-  }
-  require(line == "dpipe-profiler v1", "not a dpipe-profiler v1 block");
+ProfilerOptions read_canonical_profiler_options(CanonicalReader& in) {
+  in.keyword("dpipe-profiler");
+  in.keyword("v1");
   ProfilerOptions options;
-  expect_keyword(in, "batch_grid");
-  const auto grid_size = read_integer<std::size_t>(in, "batch_grid");
+  in.keyword("batch_grid");
+  const auto grid_size = in.integer<std::size_t>("batch_grid");
   options.batch_grid.clear();
   for (std::size_t i = 0; i < grid_size; ++i) {
-    options.batch_grid.push_back(read_double(in, "batch_grid"));
+    options.batch_grid.push_back(in.real("batch_grid"));
   }
-  expect_keyword(in, "noise");
-  options.noise_seed = read_integer<std::uint64_t>(in, "noise_seed");
-  options.noise_amplitude = read_double(in, "noise_amplitude");
-  expect_keyword(in, "repeats");
-  options.repeats = read_integer<int>(in, "repeats");
-  options.warmup_repeats = read_integer<int>(in, "warmup_repeats");
-  std::getline(in, line);  // Consume the trailing newline.
+  in.keyword("noise");
+  options.noise_seed = in.integer<std::uint64_t>("noise_seed");
+  options.noise_amplitude = in.real("noise_amplitude");
+  in.keyword("repeats");
+  options.repeats = in.integer<int>("repeats");
+  options.warmup_repeats = in.integer<int>("warmup_repeats");
   return options;
 }
 

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
 
 #include "cluster/cluster.h"
 #include "profiler/profile_db.h"
@@ -25,7 +24,7 @@ void write_canonical(CanonicalWriter& out, const ProfilerOptions& options);
 /// Parses write_canonical output (byte-identity on re-serialization).
 /// Throws std::invalid_argument on malformed input.
 [[nodiscard]] ProfilerOptions read_canonical_profiler_options(
-    std::istream& in);
+    CanonicalReader& in);
 
 /// Result of the parallel profiling pass (step 1 of Fig. 7).
 struct ProfileReport {

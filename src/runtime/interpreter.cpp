@@ -8,6 +8,7 @@
 #include <map>
 #include <mutex>
 #include <queue>
+#include <set>
 #include <string>
 #include <tuple>
 #include <utility>
@@ -184,29 +185,27 @@ ProgramBinding::ProgramBinding(const InstructionProgram& program,
   bind_frozen(program_.per_device, steady_frozen_);
   bind_frozen(program_.preamble, preamble_frozen_);
 
-  // Resolve which frozen layer identity produces the conditioning the
-  // backbone consumes. Explicit via Options, else inferred as the final
-  // layer of the lowest-numbered frozen component — the encoder's output
-  // layer. (A multi-layer frozen encoder runs every layer; only the last
-  // one's output is the conditioning.)
-  int prod_component = opts.producer_component;
-  int prod_layer = opts.producer_layer;
-  if (prod_component < 0) {
-    std::map<std::pair<int, int>, int> identities;
-    for (const std::vector<std::vector<FrozenSlot>>* slots :
-         {&steady_frozen_, &preamble_frozen_}) {
-      for (const std::vector<FrozenSlot>& dev_slots : *slots) {
-        for (const FrozenSlot& slot : dev_slots) {
-          identities[{slot.component, slot.layer}] += 1;
-        }
+  // The conditioning the backbone consumes comes from the final layer of
+  // the lowest-numbered frozen component — the encoder's output layer. (A
+  // multi-layer frozen encoder runs every layer; only the last one's output
+  // is the conditioning. Other frozen placements are replayed as modeled
+  // compute only.)
+  int prod_component = -1;
+  int prod_layer = -1;
+  std::set<std::pair<int, int>> identities;
+  for (const std::vector<std::vector<FrozenSlot>>* slots :
+       {&steady_frozen_, &preamble_frozen_}) {
+    for (const std::vector<FrozenSlot>& dev_slots : *slots) {
+      for (const FrozenSlot& slot : dev_slots) {
+        identities.insert({slot.component, slot.layer});
       }
     }
-    if (!identities.empty()) {
-      prod_component = identities.begin()->first.first;
-      for (const auto& [key, count] : identities) {
-        if (key.first == prod_component) {
-          prod_layer = key.second;
-        }
+  }
+  if (!identities.empty()) {
+    prod_component = identities.begin()->first;
+    for (const auto& [component, layer] : identities) {
+      if (component == prod_component) {
+        prod_layer = layer;
       }
     }
   }

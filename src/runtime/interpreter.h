@@ -65,14 +65,6 @@ class ProgramBinding {
     int num_modules = 0;       ///< rt::Sequential size to bind onto.
     int rows_per_replica = 0;  ///< Integer samples behind one iteration of
                                ///< the program (its group batch).
-    /// The frozen (component, layer) placement whose outputs are the
-    /// encoder embeddings consumed by kLoadMicroBatch. -1 = infer: the
-    /// final layer of the lowest-numbered frozen component (a multi-layer
-    /// frozen encoder runs every layer, but only the last one's output is
-    /// the conditioning). Other frozen placements are replayed as modeled
-    /// compute only.
-    int producer_component = -1;
-    int producer_layer = -1;
   };
 
   ProgramBinding(const InstructionProgram& program, const Options& opts);

@@ -1,13 +1,15 @@
 #include "runtime/pipeline_exec.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
-#include <cstring>
 #include <istream>
 #include <ostream>
 #include <string>
 #include <utility>
+
+#include "common/canonical.h"
 
 namespace dpipe::rt {
 
@@ -81,8 +83,6 @@ void PipelineTrainer::init(const DdpmProblem& problem,
   bind_opts.num_modules = probe->size();
   bind_opts.rows_per_replica =
       config_.global_batch / config_.data_parallel_degree;
-  bind_opts.producer_component = config_.frozen_producer_component;
-  bind_opts.producer_layer = config_.frozen_producer_layer;
   binding_.emplace(program, bind_opts);
   // The externally supplied program is the source of truth for the
   // pipeline geometry.
@@ -546,66 +546,7 @@ namespace {
 // round-trip is byte-exact and a loaded checkpoint resumes the exact
 // trajectory.
 
-std::uint32_t float_bits(float v) {
-  std::uint32_t bits = 0;
-  std::memcpy(&bits, &v, sizeof(bits));
-  return bits;
-}
-
-float float_from_bits(std::uint32_t bits) {
-  float v = 0.0f;
-  std::memcpy(&v, &bits, sizeof(v));
-  return v;
-}
-
-std::uint64_t double_bits(double v) {
-  std::uint64_t bits = 0;
-  std::memcpy(&bits, &v, sizeof(bits));
-  return bits;
-}
-
-double double_from_bits(std::uint64_t bits) {
-  double v = 0.0;
-  std::memcpy(&v, &bits, sizeof(v));
-  return v;
-}
-
-void expect_token(std::istream& in, const char* token) {
-  std::string got;
-  in >> got;
-  DPIPE_REQUIRE(static_cast<bool>(in) && got == token,
-                std::string("checkpoint parse error: expected '") + token +
-                    "', got '" + got + "'");
-}
-
-template <typename T>
-T read_value(std::istream& in, const char* what) {
-  T value{};
-  in >> value;
-  DPIPE_REQUIRE(static_cast<bool>(in),
-                std::string("checkpoint parse error: bad ") + what);
-  return value;
-}
-
-std::uint64_t read_hex(std::istream& in, const char* what) {
-  std::string token;
-  in >> token;
-  DPIPE_REQUIRE(static_cast<bool>(in) && !token.empty(),
-                std::string("checkpoint parse error: bad ") + what);
-  std::size_t used = 0;
-  std::uint64_t bits = 0;
-  try {
-    bits = std::stoull(token, &used, 16);
-  } catch (const std::exception&) {
-    DPIPE_REQUIRE(false,
-                  std::string("checkpoint parse error: bad ") + what);
-  }
-  DPIPE_REQUIRE(used == token.size(),
-                std::string("checkpoint parse error: bad ") + what);
-  return bits;
-}
-
-void write_tensor(std::ostream& out, const Tensor& t) {
+void write_tensor(CanonicalWriter& out, const Tensor& t) {
   out << "tensor " << t.shape().size();
   for (const int d : t.shape()) {
     out << ' ' << d;
@@ -613,7 +554,7 @@ void write_tensor(std::ostream& out, const Tensor& t) {
   out << '\n';
   const float* data = t.data();
   for (std::int64_t i = 0; i < t.numel(); ++i) {
-    out << std::hex << float_bits(data[i]) << std::dec
+    out.hex(std::bit_cast<std::uint32_t>(data[i]))
         << (i + 1 == t.numel() ? '\n' : ' ');
   }
   if (t.numel() == 0) {
@@ -621,47 +562,59 @@ void write_tensor(std::ostream& out, const Tensor& t) {
   }
 }
 
-Tensor read_tensor(std::istream& in) {
-  expect_token(in, "tensor");
-  const int ndim = read_value<int>(in, "tensor rank");
+Tensor read_tensor(CanonicalReader& in) {
+  in.keyword("tensor");
+  const int ndim = in.integer<int>("tensor rank");
   DPIPE_REQUIRE(ndim >= 0 && ndim <= 4, "checkpoint tensor rank invalid");
   std::vector<int> shape(ndim);
   std::int64_t numel = 1;
   for (int d = 0; d < ndim; ++d) {
-    shape[d] = read_value<int>(in, "tensor dim");
+    shape[d] = in.integer<int>("tensor dim");
     DPIPE_REQUIRE(shape[d] >= 0, "checkpoint tensor dim invalid");
     DPIPE_REQUIRE(!__builtin_mul_overflow(numel, shape[d], &numel),
                   "checkpoint tensor element count overflows");
   }
-  // The header alone must not size the allocation: storage grows only as
-  // payload tokens arrive, so a short input with a huge shape fails as
-  // truncated instead of asking for the claimed bytes up front.
-  FloatStorage data;
-  data.reserve(static_cast<std::size_t>(std::min<std::int64_t>(numel, 4096)));
-  for (std::int64_t i = 0; i < numel; ++i) {
-    const std::uint64_t bits = read_hex(in, "tensor payload");
-    DPIPE_REQUIRE(bits <= 0xFFFFFFFFull, "checkpoint tensor payload range");
-    data.push_back(float_from_bits(static_cast<std::uint32_t>(bits)));
+  // Each payload element takes at least two bytes (a hex digit and a
+  // separator), so the header alone cannot size the allocation: a shape
+  // the remaining bytes cannot back fails as truncated before any storage
+  // is reserved.
+  DPIPE_REQUIRE(static_cast<std::uint64_t>(numel) <= in.rest().size() / 2,
+                "checkpoint truncated: tensor payload");
+  FloatStorage data(static_cast<std::size_t>(numel));
+  for (float& value : data) {
+    value = std::bit_cast<float>(in.hex<std::uint32_t>("tensor payload"));
   }
   return Tensor::from_storage(std::move(shape), std::move(data));
 }
 
-void write_tensor_list(std::ostream& out, const std::vector<Tensor>& list) {
+void write_tensor_list(CanonicalWriter& out, const std::vector<Tensor>& list) {
   out << list.size() << '\n';
   for (const Tensor& t : list) {
     write_tensor(out, t);
   }
 }
 
-std::vector<Tensor> read_tensor_list(std::istream& in) {
-  const std::size_t n = read_value<std::size_t>(in, "tensor list length");
+std::vector<Tensor> read_tensor_list(CanonicalReader& in) {
+  const auto n = in.integer<std::size_t>("tensor list length");
   DPIPE_REQUIRE(n <= 1u << 20, "checkpoint tensor list length invalid");
   std::vector<Tensor> list;
-  list.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
     list.push_back(read_tensor(in));
   }
   return list;
+}
+
+/// The whole of `in`. The buffer is sized up front by what the stream
+/// says it holds (all of it for a string stream), then filled in chunks.
+std::string read_stream(std::istream& in) {
+  std::string bytes;
+  bytes.reserve(static_cast<std::size_t>(
+      std::max<std::streamsize>(0, in.rdbuf()->in_avail())));
+  char chunk[1 << 16];
+  while (in.read(chunk, sizeof(chunk)) || in.gcount() > 0) {
+    bytes.append(chunk, static_cast<std::size_t>(in.gcount()));
+  }
+  return bytes;
 }
 
 }  // namespace
@@ -682,89 +635,96 @@ void save_checkpoint(std::ostream& out, const TrainerCheckpoint& ckpt) {
       }
     }
   }
-  out << "dpipe-checkpoint v1\n";
-  out << "iteration " << ckpt.iteration << '\n';
-  out << "global_batch " << ckpt.global_batch << '\n';
-  out << "data_parallel_degree " << ckpt.data_parallel_degree << '\n';
-  out << "replica_divergence " << std::hex
-      << float_bits(ckpt.replica_divergence) << std::dec << '\n';
-  out << "losses " << ckpt.losses.size() << '\n';
+  CanonicalWriter text;
+  text << "dpipe-checkpoint v1\n";
+  text << "iteration " << ckpt.iteration << '\n';
+  text << "global_batch " << ckpt.global_batch << '\n';
+  text << "data_parallel_degree " << ckpt.data_parallel_degree << '\n';
+  text << "replica_divergence ";
+  text.hex(std::bit_cast<std::uint32_t>(ckpt.replica_divergence))
+      << '\n';
+  text << "losses " << ckpt.losses.size() << '\n';
   for (std::size_t i = 0; i < ckpt.losses.size(); ++i) {
-    out << std::hex << double_bits(ckpt.losses[i]) << std::dec
+    text.hex(std::bit_cast<std::uint64_t>(ckpt.losses[i]))
         << (i + 1 == ckpt.losses.size() ? '\n' : ' ');
   }
-  out << "adam " << (ckpt.has_adam ? 1 : 0) << " t " << ckpt.adam_t << '\n';
-  out << "pending_cond ";
-  write_tensor_list(out, ckpt.pending_cond);
-  out << "shards " << ckpt.shards.size() << '\n';
+  text << "adam " << (ckpt.has_adam ? 1 : 0) << " t " << ckpt.adam_t << '\n';
+  text << "pending_cond ";
+  write_tensor_list(text, ckpt.pending_cond);
+  text << "shards " << ckpt.shards.size() << '\n';
   for (const TrainerCheckpoint::StageShard& shard : ckpt.shards) {
-    out << "shard " << shard.module_begin << ' ' << shard.module_end << ' '
-        << (shard.adam_m.empty() ? 0 : 1) << '\n';
+    text << "shard " << shard.module_begin << ' ' << shard.module_end << ' '
+         << (shard.adam_m.empty() ? 0 : 1) << '\n';
     for (std::size_t i = 0; i < shard.params.size(); ++i) {
-      out << "module ";
-      write_tensor_list(out, shard.params[i]);
+      text << "module ";
+      write_tensor_list(text, shard.params[i]);
       if (!shard.adam_m.empty()) {
-        out << "adam_m ";
-        write_tensor_list(out, shard.adam_m[i]);
-        out << "adam_v ";
-        write_tensor_list(out, shard.adam_v[i]);
+        text << "adam_m ";
+        write_tensor_list(text, shard.adam_m[i]);
+        text << "adam_v ";
+        write_tensor_list(text, shard.adam_v[i]);
       }
     }
   }
-  out << "end\n";
+  text << "end\n";
+  const std::string bytes = text.take();
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
   DPIPE_ENSURE(static_cast<bool>(out), "checkpoint write failed");
 }
 
 TrainerCheckpoint load_checkpoint(std::istream& in) {
-  expect_token(in, "dpipe-checkpoint");
-  expect_token(in, "v1");
+  const std::string bytes = read_stream(in);
+  CanonicalReader text(bytes);
+  text.keyword("dpipe-checkpoint");
+  text.keyword("v1");
   TrainerCheckpoint ckpt;
-  expect_token(in, "iteration");
-  ckpt.iteration = read_value<int>(in, "iteration");
-  expect_token(in, "global_batch");
-  ckpt.global_batch = read_value<int>(in, "global batch");
-  expect_token(in, "data_parallel_degree");
-  ckpt.data_parallel_degree = read_value<int>(in, "dp degree");
-  expect_token(in, "replica_divergence");
-  ckpt.replica_divergence = float_from_bits(
-      static_cast<std::uint32_t>(read_hex(in, "replica divergence")));
-  expect_token(in, "losses");
-  const std::size_t num_losses = read_value<std::size_t>(in, "loss count");
+  text.keyword("iteration");
+  ckpt.iteration = text.integer<int>("iteration");
+  text.keyword("global_batch");
+  ckpt.global_batch = text.integer<int>("global batch");
+  text.keyword("data_parallel_degree");
+  ckpt.data_parallel_degree = text.integer<int>("dp degree");
+  text.keyword("replica_divergence");
+  ckpt.replica_divergence =
+      std::bit_cast<float>(text.hex<std::uint32_t>("replica divergence"));
+  text.keyword("losses");
+  const auto num_losses = text.integer<std::size_t>("loss count");
   DPIPE_REQUIRE(num_losses <= 1u << 24, "checkpoint loss count invalid");
   for (std::size_t i = 0; i < num_losses; ++i) {
-    ckpt.losses.push_back(double_from_bits(read_hex(in, "loss")));
+    ckpt.losses.push_back(
+        std::bit_cast<double>(text.hex<std::uint64_t>("loss")));
   }
-  expect_token(in, "adam");
-  ckpt.has_adam = read_value<int>(in, "adam flag") != 0;
-  expect_token(in, "t");
-  ckpt.adam_t = read_value<int>(in, "adam step count");
-  expect_token(in, "pending_cond");
-  ckpt.pending_cond = read_tensor_list(in);
-  expect_token(in, "shards");
-  const std::size_t num_shards = read_value<std::size_t>(in, "shard count");
+  text.keyword("adam");
+  ckpt.has_adam = text.integer<int>("adam flag") != 0;
+  text.keyword("t");
+  ckpt.adam_t = text.integer<int>("adam step count");
+  text.keyword("pending_cond");
+  ckpt.pending_cond = read_tensor_list(text);
+  text.keyword("shards");
+  const auto num_shards = text.integer<std::size_t>("shard count");
   DPIPE_REQUIRE(num_shards >= 1 && num_shards <= 4096,
                 "checkpoint shard count invalid");
   for (std::size_t s = 0; s < num_shards; ++s) {
-    expect_token(in, "shard");
+    text.keyword("shard");
     TrainerCheckpoint::StageShard shard;
-    shard.module_begin = read_value<int>(in, "shard begin");
-    shard.module_end = read_value<int>(in, "shard end");
-    const bool has_moments = read_value<int>(in, "shard moment flag") != 0;
+    shard.module_begin = text.integer<int>("shard begin");
+    shard.module_end = text.integer<int>("shard end");
+    const bool has_moments = text.integer<int>("shard moment flag") != 0;
     DPIPE_REQUIRE(shard.module_end > shard.module_begin,
                   "checkpoint shard range invalid");
     for (int i = shard.module_begin; i < shard.module_end; ++i) {
-      expect_token(in, "module");
-      shard.params.push_back(read_tensor_list(in));
+      text.keyword("module");
+      shard.params.push_back(read_tensor_list(text));
       if (has_moments) {
-        expect_token(in, "adam_m");
-        shard.adam_m.push_back(read_tensor_list(in));
-        expect_token(in, "adam_v");
-        shard.adam_v.push_back(read_tensor_list(in));
+        text.keyword("adam_m");
+        shard.adam_m.push_back(read_tensor_list(text));
+        text.keyword("adam_v");
+        shard.adam_v.push_back(read_tensor_list(text));
       }
     }
     ckpt.shards.push_back(std::move(shard));
   }
-  expect_token(in, "end");
+  text.keyword("end");
   checked_module_count(ckpt);
   return ckpt;
 }

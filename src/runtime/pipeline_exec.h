@@ -36,10 +36,6 @@ struct PipelineRtConfig {
   /// Record every iteration's per-device op order (execution_log()) for
   /// cross-backend parity checks against occupancy_trace() and the engine.
   bool record_execution = false;
-  /// Conditioning producer override for externally supplied programs
-  /// (see ProgramBinding::Options); -1 = infer from the program.
-  int frozen_producer_component = -1;
-  int frozen_producer_layer = -1;
 };
 
 /// Complete PipelineTrainer state at an iteration boundary: parameters and
@@ -123,18 +119,21 @@ void save_checkpoint(std::ostream& out, const TrainerCheckpoint& ckpt);
 /// ScheduleBuilder::build_1f1b -> BubbleFiller -> generate_instructions)
 /// into the same InstructionProgram the simulated engine replays, validates
 /// it (ProgramValidator), binds it onto the runtime model (ProgramBinding),
-/// and executes it with the ProgramInterpreter: one task per (replica,
-/// device) walks its device's instruction stream over real tensors and
-/// rt::Channels. Front-end and back-end thereby share one program — the
-/// "one program, two backends" contract checked by the parity tests.
+/// and executes it with the ProgramInterpreter, which compiles every
+/// (replica, device) instruction stream into one static wave order when
+/// the trainer is built and runs it over real tensors, moving activations
+/// and gradients through per-(replica, stage, micro) tensor slots.
+/// Front-end and back-end thereby share one program — the "one program,
+/// two backends" contract checked by the parity tests.
 ///
 /// Demonstrates functionally that DiffusionPipe's schedule — FIFO-1F1B with
 /// micro-batch gradient accumulation, data-parallel replicas with gradient
 /// averaging, optional self-conditioning feedback and cross-iteration
 /// frozen-part execution — reproduces the reference full-batch trajectory
-/// exactly, and that it survives stage failures: a throwing stage aborts
-/// the wave cleanly (channels closed, tasks woken, exception propagated)
-/// and training resumes bit-exactly from the last checkpoint.
+/// exactly, and that it survives stage failures: a throwing op aborts the
+/// wave cleanly (no op whose predecessors never finished runs, no
+/// optimizer step is applied, the exception propagates) and training
+/// resumes bit-exactly from the last checkpoint.
 class PipelineTrainer {
  public:
   PipelineTrainer(const DdpmProblem& problem, PipelineRtConfig config);

@@ -3,9 +3,7 @@
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
-#include <istream>
-#include <ostream>
-#include <sstream>
+#include <iterator>
 
 #include "common/canonical.h"
 #include "common/error.h"
@@ -17,38 +15,23 @@ namespace fs = std::filesystem;
 
 namespace {
 
-Fingerprint read_fingerprint_line(std::istream& in,
-                                  const std::string& keyword) {
-  expect_keyword(in, keyword);
-  std::string hex;
-  require(static_cast<bool>(in >> hex), "truncated " + keyword);
-  return Fingerprint::from_hex(hex);
+Fingerprint read_fingerprint(CanonicalReader& in, std::string_view keyword) {
+  in.keyword(keyword);
+  return Fingerprint::from_hex(in.token(keyword));
 }
 
 /// Reads a `<keyword> <n>\n` header then exactly n raw bytes. The size
-/// comes from the file, so the block grows in bounded chunks as bytes
-/// arrive: a header claiming more than the file holds fails as truncated
-/// instead of allocating the claimed size up front.
-std::string read_sized_block(std::istream& in, const std::string& keyword) {
-  expect_keyword(in, keyword);
-  std::size_t bytes = 0;
-  require(static_cast<bool>(in >> bytes), "malformed " + keyword + " size");
-  std::string line;
-  std::getline(in, line);  // Consume the header's newline.
-  constexpr std::size_t kChunk = std::size_t{1} << 16;
-  std::string block;
-  while (block.size() < bytes) {
-    const std::size_t have = block.size();
-    const std::size_t want = std::min(kChunk, bytes - have);
-    block.resize(have + want);
-    in.read(block.data() + have, static_cast<std::streamsize>(want));
-    require(static_cast<std::size_t>(in.gcount()) == want,
-            "truncated " + keyword + " block");
-  }
-  return block;
+/// comes from the input, so it is checked against the bytes that remain
+/// before anything is copied: a header claiming more fails as truncated.
+std::string read_sized_block(CanonicalReader& in, std::string_view keyword) {
+  in.keyword(keyword);
+  const auto size = in.integer<std::size_t>(keyword);
+  require(in.line(keyword).empty(),
+          "malformed " + std::string(keyword) + " header");
+  return std::string(in.bytes(size, keyword));
 }
 
-void write_partition_opts(std::ostream& out, const PartitionOptions& opts) {
+void write_partition_opts(CanonicalWriter& out, const PartitionOptions& opts) {
   out << "popts s=" << opts.num_stages << " m=" << opts.num_microbatches
       << " d=" << opts.group_size << " dp=" << opts.data_parallel_degree
       << " mb=" << opts.microbatch_size
@@ -65,30 +48,30 @@ void write_partition_opts(std::ostream& out, const PartitionOptions& opts) {
   out << '\n';
 }
 
-PartitionOptions read_partition_opts(std::istream& in) {
-  expect_keyword(in, "popts");
+PartitionOptions read_partition_opts(CanonicalReader& in) {
+  in.keyword("popts");
   PartitionOptions opts;
-  opts.num_stages = read_integer_field<int>(in, "s=");
-  opts.num_microbatches = read_integer_field<int>(in, "m=");
-  opts.group_size = read_integer_field<int>(in, "d=");
-  opts.data_parallel_degree = read_integer_field<int>(in, "dp=");
-  opts.microbatch_size = read_double_field(in, "mb=");
-  opts.self_conditioning = read_integer_field<int>(in, "sc=") != 0;
-  opts.self_cond_prob = read_double_field(in, "scp=");
-  opts.force_uniform_replicas = read_integer_field<int>(in, "fur=") != 0;
-  opts.comm_competition_factor = read_double_field(in, "ccf=");
-  opts.scalarize_dp_states = read_integer_field<int>(in, "sds=") != 0;
-  opts.dp_rank_stride = read_integer_field<int>(in, "stride=");
-  const auto num_ranks = read_integer_field<std::size_t>(in, "ranks=");
+  opts.num_stages = in.integer_field<int>("s=");
+  opts.num_microbatches = in.integer_field<int>("m=");
+  opts.group_size = in.integer_field<int>("d=");
+  opts.data_parallel_degree = in.integer_field<int>("dp=");
+  opts.microbatch_size = in.real_field("mb=");
+  opts.self_conditioning = in.integer_field<int>("sc=") != 0;
+  opts.self_cond_prob = in.real_field("scp=");
+  opts.force_uniform_replicas = in.integer_field<int>("fur=") != 0;
+  opts.comm_competition_factor = in.real_field("ccf=");
+  opts.scalarize_dp_states = in.integer_field<int>("sds=") != 0;
+  opts.dp_rank_stride = in.integer_field<int>("stride=");
+  const auto num_ranks = in.integer_field<std::size_t>("ranks=");
   for (std::size_t i = 0; i < num_ranks; ++i) {
-    opts.device_ranks.push_back(read_integer<int>(in, "device_ranks"));
+    opts.device_ranks.push_back(in.integer<int>("device_ranks"));
   }
   return opts;
 }
 
 }  // namespace
 
-void write_plan_config(std::ostream& out, const PlanConfig& config) {
+void write_plan_config(CanonicalWriter& out, const PlanConfig& config) {
   out << "config s=" << config.num_stages << " m=" << config.num_microbatches
       << " d=" << config.group_size
       << " dp=" << config.data_parallel_degree
@@ -98,23 +81,21 @@ void write_plan_config(std::ostream& out, const PlanConfig& config) {
       << " v=" << config.vstages << '\n';
 }
 
-PlanConfig read_plan_config(std::istream& in) {
-  expect_keyword(in, "config");
+PlanConfig read_plan_config(CanonicalReader& in) {
+  in.keyword("config");
   PlanConfig config;
-  config.num_stages = read_integer_field<int>(in, "s=");
-  config.num_microbatches = read_integer_field<int>(in, "m=");
-  config.group_size = read_integer_field<int>(in, "d=");
-  config.data_parallel_degree = read_integer_field<int>(in, "dp=");
-  config.predicted_iteration_ms = read_double_field(in, "t=");
-  config.planned_bubble_ratio = read_double_field(in, "br=");
-  config.memory_feasible = read_integer_field<int>(in, "mem=") != 0;
-  config.vstages = read_integer_field<int>(in, "v=");
+  config.num_stages = in.integer_field<int>("s=");
+  config.num_microbatches = in.integer_field<int>("m=");
+  config.group_size = in.integer_field<int>("d=");
+  config.data_parallel_degree = in.integer_field<int>("dp=");
+  config.predicted_iteration_ms = in.real_field("t=");
+  config.planned_bubble_ratio = in.real_field("br=");
+  config.memory_feasible = in.integer_field<int>("mem=") != 0;
+  config.vstages = in.integer_field<int>("v=");
   return config;
 }
 
-void save_plan_entry(const CachedPlan& entry, std::ostream& out) {
-  const auto flags = out.flags();
-  const auto precision = out.precision(17);
+void save_plan_entry(CanonicalWriter& out, const CachedPlan& entry) {
   out << "dpipe-plan v1\n";
   out << "fingerprint " << entry.fingerprint.hex() << '\n';
   out << "model_fingerprint " << entry.model_fp.hex() << '\n';
@@ -130,29 +111,26 @@ void save_plan_entry(const CachedPlan& entry, std::ostream& out) {
   out << "program_bytes " << entry.program_text.size() << '\n';
   out << entry.program_text;
   out << "end\n";
-  out.precision(precision);
-  out.flags(flags);
 }
 
-CachedPlan load_plan_entry(std::istream& in) {
-  std::string line;
-  require(std::getline(in, line) && line == "dpipe-plan v1",
+CachedPlan load_plan_entry(std::string_view bytes) {
+  CanonicalReader in(bytes);
+  require(in.line("plan header") == "dpipe-plan v1",
           "not a dpipe-plan v1 file");
   CachedPlan entry;
-  entry.fingerprint = read_fingerprint_line(in, "fingerprint");
-  entry.model_fp = read_fingerprint_line(in, "model_fingerprint");
-  entry.cluster_fp = read_fingerprint_line(in, "cluster_fingerprint");
+  entry.fingerprint = read_fingerprint(in, "fingerprint");
+  entry.model_fp = read_fingerprint(in, "model_fingerprint");
+  entry.cluster_fp = read_fingerprint(in, "cluster_fingerprint");
   entry.request_text = read_sized_block(in, "request_bytes");
   entry.config = read_plan_config(in);
   entry.partition_opts = read_partition_opts(in);
-  expect_keyword(in, "explored");
-  const auto explored_count = read_integer<std::size_t>(in, "explored");
+  in.keyword("explored");
+  const auto explored_count = in.integer<std::size_t>("explored");
   for (std::size_t i = 0; i < explored_count; ++i) {
     entry.explored.push_back(read_plan_config(in));
   }
-  std::getline(in, line);  // Position after the last config line.
   entry.program_text = read_sized_block(in, "program_bytes");
-  expect_keyword(in, "end");
+  in.keyword("end");
 
   // Verification: the stored fingerprints must re-derive from the stored
   // request bytes, and the program must parse. A stale or bit-rotted entry
@@ -192,7 +170,8 @@ PlanStore::LoadReport PlanStore::load_all() {
     try {
       std::ifstream in(path, std::ios::binary);
       require(static_cast<bool>(in), "cannot open plan file");
-      auto entry = std::make_shared<CachedPlan>(load_plan_entry(in));
+      const std::string bytes(std::istreambuf_iterator<char>(in), {});
+      auto entry = std::make_shared<CachedPlan>(load_plan_entry(bytes));
       require(path.filename().string() == entry->fingerprint.hex() + ".plan",
               "plan file name does not match its fingerprint");
       report.plans.push_back(std::move(entry));
@@ -211,10 +190,13 @@ void PlanStore::put(const CachedPlan& entry) {
   const std::string final_path = path_for(entry.fingerprint);
   const std::string tmp_path = final_path + ".tmp";
   {
+    CanonicalWriter bytes;
+    save_plan_entry(bytes, entry);
+    const std::string text = bytes.take();
     std::ofstream out(tmp_path, std::ios::binary | std::ios::trunc);
     require(static_cast<bool>(out),
             "cannot open plan store file for writing: " + tmp_path);
-    save_plan_entry(entry, out);
+    out.write(text.data(), static_cast<std::streamsize>(text.size()));
     require(static_cast<bool>(out), "plan store write failed: " + tmp_path);
   }
   fs::rename(tmp_path, final_path);

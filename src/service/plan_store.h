@@ -1,34 +1,35 @@
 #pragma once
 
 #include <cstddef>
-#include <iosfwd>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "common/canonical.h"
 #include "service/plan_cache.h"
 
 namespace dpipe {
 
-/// Writes one PlanConfig as a single line (precision-17 doubles). Shared
-/// by the plan store and the wire protocol.
-void write_plan_config(std::ostream& out, const PlanConfig& config);
+/// Appends one PlanConfig as a single line. Shared by the plan store and
+/// the wire protocol.
+void write_plan_config(CanonicalWriter& out, const PlanConfig& config);
 
-/// Parses a write_plan_config line (tokens after the leading keyword).
-[[nodiscard]] PlanConfig read_plan_config(std::istream& in);
+/// Parses a write_plan_config line.
+[[nodiscard]] PlanConfig read_plan_config(CanonicalReader& in);
 
-/// Serializes a cache entry to the versioned "dpipe-plan v1" text form:
+/// Appends a cache entry in the versioned "dpipe-plan v1" text form:
 /// fingerprints, the canonical request bytes, the winning config and its
 /// partition options, the explored list, and the instruction program via
 /// the .dpipe serializer. save -> load -> save is byte-identical.
-void save_plan_entry(const CachedPlan& entry, std::ostream& out);
+void save_plan_entry(CanonicalWriter& out, const CachedPlan& entry);
 
 /// Parses save_plan_entry output and re-verifies it: the request bytes
 /// must hash to the stored fingerprint and re-derive the stored model and
 /// cluster fingerprints, and the program must parse. Throws
 /// std::invalid_argument on any mismatch (the store treats that as a
 /// corrupt entry).
-[[nodiscard]] CachedPlan load_plan_entry(std::istream& in);
+[[nodiscard]] CachedPlan load_plan_entry(std::string_view bytes);
 
 /// A directory of persisted plans, one "<fingerprint>.plan" file per
 /// entry, written atomically (temp file + rename). A restarted plan

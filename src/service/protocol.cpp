@@ -5,9 +5,10 @@
 #include <cerrno>
 #include <cstdint>
 #include <cstring>
-#include <sstream>
 #include <stdexcept>
+#include <string_view>
 
+#include "common/canonical.h"
 #include "common/error.h"
 #include "service/plan_store.h"
 #include "service/service.h"
@@ -58,7 +59,7 @@ bool read_all(int fd, char* data, std::size_t bytes) {
 /// The stats verb's response body: one "key value" line per counter.
 std::string stats_text(const PlanService& service) {
   const PlanService::Stats stats = service.stats();
-  std::ostringstream out;
+  CanonicalWriter out;
   out << "ok\n";
   out << "cache_hits " << stats.cache.hits << '\n';
   out << "cache_misses " << stats.cache.misses << '\n';
@@ -66,7 +67,7 @@ std::string stats_text(const PlanService& service) {
   out << "cache_entries " << stats.cache.entries << '\n';
   out << "planner_runs " << stats.planner_runs << '\n';
   out << "store_loaded " << stats.store_loaded << '\n';
-  return out.str();
+  return out.take();
 }
 
 }  // namespace
@@ -110,39 +111,34 @@ std::string encode_plan_request(const PlanRequest& request) {
 }
 
 std::string encode_plan_response(const CachedPlan& plan, bool cache_hit) {
-  std::ostringstream out;
+  CanonicalWriter out;
   out << "ok hit=" << (cache_hit ? 1 : 0) << '\n';
-  save_plan_entry(plan, out);
-  return out.str();
+  save_plan_entry(out, plan);
+  return out.take();
 }
 
 std::string encode_error_response(const std::string& message) {
   return "error " + message;
 }
 
-PlanResponse decode_plan_response(const std::string& payload) {
+PlanResponse decode_plan_response(std::string_view payload) {
   PlanResponse response;
-  std::istringstream in(payload);
-  std::string keyword;
-  require(static_cast<bool>(in >> keyword), "empty response payload");
-  if (keyword == "error") {
-    std::getline(in, response.error);
-    if (!response.error.empty() && response.error.front() == ' ') {
-      response.error.erase(response.error.begin());
-    }
+  CanonicalReader in(payload);
+  const std::string_view verb = in.token("response verb");
+  if (verb == "error") {
+    const std::string_view message = in.rest().empty() ? "" : in.line("error");
+    response.error = message.starts_with(' ') ? message.substr(1) : message;
     return response;
   }
-  require(keyword == "ok", "malformed response verb");
-  std::string hit_token;
-  require(static_cast<bool>(in >> hit_token) &&
-              hit_token.rfind("hit=", 0) == 0,
-          "malformed response hit field");
-  response.cache_hit = hit_token.substr(4) != "0";
-  std::string line;
-  std::getline(in, line);  // Consume the status line's newline.
+  require(verb == "ok", "malformed response verb");
+  const int hit = in.integer_field<int>("hit=");
+  require((hit == 0 || hit == 1) && in.line("status line").empty(),
+          "malformed response status line");
+  response.cache_hit = hit == 1;
   // load_plan_entry re-verifies fingerprints and parses the program, so a
   // corrupted payload throws here instead of yielding a wrong plan.
-  response.plan = std::make_shared<const CachedPlan>(load_plan_entry(in));
+  response.plan =
+      std::make_shared<const CachedPlan>(load_plan_entry(in.rest()));
   response.ok = true;
   return response;
 }
@@ -155,9 +151,9 @@ ServeResult serve_connection(PlanService& service, int in_fd, int out_fd,
     if (!payload.has_value()) {
       break;  // Clean EOF: the client is done.
     }
-    std::istringstream in(*payload);
-    std::string verb;
-    std::getline(in, verb);
+    const std::string_view frame = *payload;
+    const std::size_t eol = frame.find('\n');
+    const std::string_view verb = frame.substr(0, eol);
     if (verb == "shutdown") {
       result.shutdown_requested = true;
       write_frame(out_fd, "ok\n");
@@ -166,11 +162,9 @@ ServeResult serve_connection(PlanService& service, int in_fd, int out_fd,
     std::string response;
     if (verb == "plan") {
       try {
-        const std::string request_text =
-            payload->substr(payload->find('\n') + 1);
         // Parse (validates the payload) and re-canonicalize; a client that
         // sends non-canonical bytes still deduplicates correctly.
-        const PlanRequest request = parse_request_text(request_text);
+        const PlanRequest request = parse_request_text(frame.substr(eol + 1));
         bool cache_hit = false;
         const auto plan = service.plan(request, &cache_hit);
         response = encode_plan_response(*plan, cache_hit);
@@ -180,7 +174,8 @@ ServeResult serve_connection(PlanService& service, int in_fd, int out_fd,
     } else if (verb == "stats") {
       response = stats_text(service);
     } else {
-      response = encode_error_response("unknown request verb: " + verb);
+      response = encode_error_response("unknown request verb: " +
+                                       std::string(verb));
     }
     write_frame(out_fd, response);
     ++result.requests_answered;

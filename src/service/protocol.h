@@ -4,6 +4,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 
 #include "service/plan_cache.h"
 #include "service/request.h"
@@ -56,7 +57,7 @@ struct PlanResponse {
 /// the plan store does (fingerprints re-derived, program parsed). Transport
 /// corruption surfaces as a thrown std::invalid_argument, never as a
 /// silently wrong plan.
-[[nodiscard]] PlanResponse decode_plan_response(const std::string& payload);
+[[nodiscard]] PlanResponse decode_plan_response(std::string_view payload);
 
 struct ServeResult {
   std::size_t requests_answered = 0;

@@ -1,8 +1,5 @@
 #include "service/request.h"
 
-#include <istream>
-#include <sstream>
-
 #include "common/canonical.h"
 #include "common/error.h"
 
@@ -19,12 +16,12 @@ void write_candidates(CanonicalWriter& out, const char* label,
   out << '\n';
 }
 
-std::vector<int> read_candidates(std::istream& in, const std::string& label) {
-  expect_keyword(in, label);
-  const auto count = read_integer<std::size_t>(in, label);
+std::vector<int> read_candidates(CanonicalReader& in, std::string_view label) {
+  in.keyword(label);
+  const auto count = in.integer<std::size_t>(label);
   std::vector<int> values;
   for (std::size_t i = 0; i < count; ++i) {
-    values.push_back(read_integer<int>(in, label));
+    values.push_back(in.integer<int>(label));
   }
   return values;
 }
@@ -60,33 +57,35 @@ std::string canonical_request_text(const PlanRequest& request) {
   return out.take();
 }
 
-PlanRequest parse_request_text(const std::string& text) {
-  std::istringstream in(text);
-  std::string line;
-  require(std::getline(in, line) && line == "dpipe-plan-request v2",
+PlanRequest parse_request_text(std::string_view text) {
+  CanonicalReader in(text);
+  require(in.line("request header") == "dpipe-plan-request v2",
           "not a dpipe-plan-request v2 payload");
   PlanRequest request;
   request.model = read_canonical_model(in);
   request.cluster = read_canonical_cluster(in);
-  expect_keyword(in, "options");
+  in.keyword("options");
   const auto flag = [&in](std::string_view key) {
-    return read_integer_field<int>(in, key) != 0;
+    return in.integer_field<int>(key) != 0;
   };
-  request.options.global_batch = read_double_field(in, "global_batch=");
+  request.options.global_batch = in.real_field("global_batch=");
   request.options.enable_fill = flag("fill=");
   request.options.enable_partial = flag("partial=");
   request.options.check_memory = flag("mem=");
   request.options.integer_microbatches = flag("int_micro=");
   request.options.require_bindable_placement = flag("bindable=");
-  request.options.schedule_family =
-      static_cast<ScheduleFamily>(read_integer_field<int>(in, "family="));
+  const int family = in.integer_field<int>("family=");
+  require(family >= 0 &&
+              family <= static_cast<int>(ScheduleFamily::kInterleaved),
+          "unknown schedule family");
+  request.options.schedule_family = static_cast<ScheduleFamily>(family);
   request.options.stage_candidates = read_candidates(in, "stage_candidates");
   request.options.micro_candidates = read_candidates(in, "micro_candidates");
   request.options.group_candidates = read_candidates(in, "group_candidates");
   request.options.vstage_candidates =
       read_candidates(in, "vstage_candidates");
   request.options.profiler = read_canonical_profiler_options(in);
-  expect_keyword(in, "end");
+  in.keyword("end");
   return request;
 }
 

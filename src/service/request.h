@@ -1,7 +1,7 @@
 #pragma once
 
-#include <iosfwd>
 #include <string>
+#include <string_view>
 
 #include "cluster/cluster.h"
 #include "common/hash.h"
@@ -41,7 +41,7 @@ struct PlanRequest {
 /// defaults). canonical_request_text(parse_request_text(t)) == t.
 /// Throws std::invalid_argument on malformed input, including a numeric
 /// field that is empty, out of double range, or followed by stray bytes.
-[[nodiscard]] PlanRequest parse_request_text(const std::string& text);
+[[nodiscard]] PlanRequest parse_request_text(std::string_view text);
 
 /// Fingerprint of canonical_request_text(request).
 [[nodiscard]] Fingerprint request_fingerprint(const PlanRequest& request);

@@ -29,9 +29,9 @@ std::shared_ptr<const CachedPlan> PlanService::compute_plan(
   popts.search_threads = options_.planner_threads;
   const Planner planner(request.model, request.cluster, popts);
   const Plan plan = planner.plan();
-  if (options_.validate_programs) {
-    require_valid_program(plan.program);
-  }
+  // Every cold plan is validated before it is cached or persisted, so the
+  // cache can only ever serve validated programs.
+  require_valid_program(plan.program);
 
   auto entry = std::make_shared<CachedPlan>();
   entry->fingerprint = fingerprint_bytes(request_text);

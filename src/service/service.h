@@ -23,9 +23,6 @@ struct PlanServiceOptions {
   /// search_threads applied to every cold plan (0 = the executor's
   /// width).
   int planner_threads = 0;
-  /// Run require_valid_program() on every cold plan before it is cached or
-  /// persisted, so the cache can only ever serve validated programs.
-  bool validate_programs = true;
 };
 
 /// The multi-tenant planning service: accepts concurrent plan requests,

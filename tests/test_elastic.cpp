@@ -9,6 +9,7 @@
 #include <cmath>
 #include <sstream>
 
+#include "common/hash.h"
 #include "core/instr/serialize.h"
 #include "fault/elastic.h"
 #include "runtime/dp_trainer.h"
@@ -167,6 +168,29 @@ TEST(CheckpointIo, SaveLoadSaveIsByteIdentical) {
     EXPECT_EQ(loaded.module_cut(), ckpt.module_cut());
     EXPECT_FLOAT_EQ(params_diff(loaded.flat_params(), ckpt.flat_params()),
                     0.0f);
+  }
+}
+
+TEST(CheckpointIo, GoldenBytes) {
+  // Pinned digests of the dpipe-checkpoint v1 bytes of a trained 3-stage
+  // trainer, with and without Adam moments: checkpoints written by older
+  // builds must keep loading, and the trajectory bits behind them are the
+  // same at every SIMD level and executor width.
+  struct Golden {
+    bool use_adam;
+    std::size_t bytes;
+    const char* digest;
+  };
+  const Golden goldens[] = {
+      {false, 33891, "661ec2b047ad7c1ee89e178c60a4d180"},
+      {true, 99143, "d70d48136ad47734cf99294000997471"},
+  };
+  for (const Golden& golden : goldens) {
+    SCOPED_TRACE(golden.use_adam);
+    std::stringstream out;
+    save_checkpoint(out, sample_checkpoint(golden.use_adam));
+    EXPECT_EQ(out.str().size(), golden.bytes);
+    EXPECT_EQ(fingerprint_bytes(out.str()).hex(), golden.digest);
   }
 }
 

@@ -499,9 +499,11 @@ TEST(Interleaved, RequestAndPlanConfigSerializationCarryVStages) {
   config.planned_bubble_ratio = 0.125;
   config.memory_feasible = true;
   config.vstages = 2;
-  std::stringstream stream;
-  write_plan_config(stream, config);
-  const PlanConfig back = read_plan_config(stream);
+  CanonicalWriter out;
+  write_plan_config(out, config);
+  const std::string line = out.take();
+  CanonicalReader in(line);
+  const PlanConfig back = read_plan_config(in);
   EXPECT_EQ(back.vstages, 2);
   EXPECT_EQ(back.num_stages, 4);
   EXPECT_EQ(back.group_size, 4);

@@ -277,6 +277,13 @@ TEST(PlanFingerprint, HostileNumbersFailWithInvalidArgument) {
       EXPECT_THROW((void)parse_request_text(mutant), std::invalid_argument);
     }
   }
+  // Well-formed numbers out of their field's range: a schedule family past
+  // the last one, and a device count whose product overflows int.
+  EXPECT_THROW((void)parse_request_text(with_value(text, " family=", "4")),
+               std::invalid_argument);
+  EXPECT_THROW((void)parse_request_text(with_value(
+                   with_value(text, "shape ", "4"), "shape 4 ", "1073741824")),
+               std::invalid_argument);
 }
 
 // --- StageCostStore single-owner guard --------------------------------------
@@ -428,6 +435,13 @@ TEST(PlanCache, InvalidateClusterEvictsOnlyMatchingEntries) {
 
 // --- PlanStore --------------------------------------------------------------
 
+/// The dpipe-plan v1 bytes of `entry`.
+std::string entry_bytes(const CachedPlan& entry) {
+  CanonicalWriter out;
+  save_plan_entry(out, entry);
+  return out.take();
+}
+
 /// One real planned entry (computed once, reused across store tests).
 const CachedPlan& real_entry() {
   static const CachedPlan entry = [] {
@@ -438,14 +452,60 @@ const CachedPlan& real_entry() {
 }
 
 TEST(PlanStore, SaveLoadSaveIsByteIdentical) {
-  std::ostringstream first;
-  save_plan_entry(real_entry(), first);
-  std::istringstream in(first.str());
-  const CachedPlan loaded = load_plan_entry(in);
+  const std::string first = entry_bytes(real_entry());
+  const CachedPlan loaded = load_plan_entry(first);
   expect_entries_identical(real_entry(), loaded);
-  std::ostringstream second;
-  save_plan_entry(loaded, second);
-  EXPECT_EQ(first.str(), second.str());
+  EXPECT_EQ(first, entry_bytes(loaded));
+}
+
+/// A hand-built entry whose bytes do not depend on the planner: the
+/// request is small_request()'s canonical text, the configs and partition
+/// options hold edge-valued doubles, and the program is a one-device stub.
+CachedPlan fixed_entry() {
+  const PlanRequest request = small_request();
+  CachedPlan entry;
+  entry.request_text = canonical_request_text(request);
+  entry.fingerprint = fingerprint_bytes(entry.request_text);
+  entry.model_fp = model_fingerprint(request.model);
+  entry.cluster_fp = cluster_fingerprint(request.cluster);
+  entry.config = PlanConfig{2, 4, 2, 4, 1.0 / 3, 4.9e-324, true, 1};
+  entry.partition_opts.num_stages = 2;
+  entry.partition_opts.group_size = 2;
+  entry.partition_opts.data_parallel_degree = 4;
+  entry.partition_opts.microbatch_size = -0.0;
+  entry.partition_opts.self_conditioning = true;
+  entry.partition_opts.self_cond_prob = 0.1;
+  entry.partition_opts.device_ranks = {0, 4};
+  entry.partition_opts.dp_rank_stride = 1;
+  entry.partition_opts.comm_competition_factor = 1e300;
+  entry.explored = {entry.config,
+                    PlanConfig{2, 2, 2, 4, 123456789012345678.0, 1e-310,
+                               false, 2}};
+  InstructionProgram program;
+  program.group_size = 1;
+  program.preamble.resize(1);
+  program.per_device = {{Instruction{InstrKind::kForward, 0, 0, 1, 2, 0, 3,
+                                     2.5, -1, 0.1},
+                         Instruction{InstrKind::kOptimizerStep, 0, 0, -1, 2,
+                                     0, 3, 0.0, -1, 1e17}}};
+  entry.program_text = program_to_string(program);
+  return entry;
+}
+
+TEST(PlanStore, GoldenBytes) {
+  // Pinned digests of one fixed dpipe-plan v1 entry and of the wire
+  // response that carries it: stores written by older builds must keep
+  // loading, and a client must decode an older server's responses.
+  const CachedPlan entry = fixed_entry();
+  const std::string bytes = entry_bytes(entry);
+  EXPECT_EQ(bytes.size(), 14095u);
+  EXPECT_EQ(fingerprint_bytes(bytes).hex(),
+            "3984bed6c6d8de990538ffe1d7db2e31");
+  const std::string response = encode_plan_response(entry, true);
+  EXPECT_EQ(response.size(), 14104u);
+  EXPECT_EQ(fingerprint_bytes(response).hex(),
+            "3a83eea769111cb66170073d831cebc8");
+  expect_entries_identical(entry, load_plan_entry(bytes));
 }
 
 TEST(PlanStore, RoundTripsThroughDirectory) {
@@ -525,17 +585,8 @@ TEST(PlanStore, V1EntryIsDroppedAndDeleted) {
 }
 
 TEST(PlanStore, HostileNumbersFailWithInvalidArgument) {
-  const auto saved = [](const CachedPlan& entry) {
-    std::ostringstream out;
-    save_plan_entry(entry, out);
-    return out.str();
-  };
-  const auto load = [](const std::string& bytes) {
-    std::istringstream in(bytes);
-    return load_plan_entry(in);
-  };
-  const std::string bytes = saved(real_entry());
-  ASSERT_NO_THROW((void)load(bytes));
+  const std::string bytes = entry_bytes(real_entry());
+  ASSERT_NO_THROW((void)load_plan_entry(bytes));
   // The entry's own fields: winning config and partition context.
   const std::size_t config = bytes.find("\nconfig ");
   std::vector<std::string> mutants;
@@ -550,17 +601,17 @@ TEST(PlanStore, HostileNumbersFailWithInvalidArgument) {
        hostile_numbers(real_entry().program_text, " sz=")) {
     CachedPlan entry = real_entry();
     entry.program_text = program;
-    mutants.push_back(saved(entry));
+    mutants.push_back(entry_bytes(entry));
   }
   for (const std::string& request :
        hostile_numbers(real_entry().request_text, " eff=")) {
     CachedPlan entry = real_entry();
     entry.request_text = request;
     entry.fingerprint = fingerprint_bytes(request);
-    mutants.push_back(saved(entry));
+    mutants.push_back(entry_bytes(entry));
   }
   for (const std::string& mutant : mutants) {
-    EXPECT_THROW((void)load(mutant), std::invalid_argument);
+    EXPECT_THROW((void)load_plan_entry(mutant), std::invalid_argument);
   }
 }
 
@@ -568,9 +619,7 @@ TEST(PlanStore, OversizedBlockHeaderFailsWithoutAllocating) {
   // A size header claiming 2^40 bytes in a file that holds a few hundred:
   // the reader must fail as truncated (std::invalid_argument) rather than
   // allocate the claimed size first.
-  std::ostringstream out;
-  save_plan_entry(real_entry(), out);
-  const std::string bytes = out.str();
+  const std::string bytes = entry_bytes(real_entry());
   const std::string header =
       "request_bytes " + std::to_string(real_entry().request_text.size()) +
       "\n";
@@ -579,8 +628,7 @@ TEST(PlanStore, OversizedBlockHeaderFailsWithoutAllocating) {
   const std::string hostile = bytes.substr(0, pos) +
                               "request_bytes 1099511627776\n" +
                               bytes.substr(pos + header.size(), 200);
-  std::istringstream in(hostile);
-  EXPECT_THROW((void)load_plan_entry(in), std::invalid_argument);
+  EXPECT_THROW((void)load_plan_entry(hostile), std::invalid_argument);
 
   const std::string dir = scratch_dir("store_oversized_block");
   PlanStore store(dir);
@@ -775,6 +823,18 @@ TEST(PlanProtocol, PlanResponseRoundTripsAndVerifies) {
   std::string corrupt = payload;
   corrupt[corrupt.find("dpipe-model v1")] = 'X';
   EXPECT_THROW((void)decode_plan_response(corrupt), std::invalid_argument);
+}
+
+TEST(PlanProtocol, HitFieldAcceptsOnlyZeroOrOne) {
+  // The status line's hit= field is a 0/1 flag: any other spelling is a
+  // malformed response, never a cache hit.
+  const std::string payload = encode_plan_response(real_entry(), false);
+  EXPECT_FALSE(decode_plan_response(payload).cache_hit);
+  for (const std::string value : {"yes", "", "2", "-1", "1x", "0.5"}) {
+    SCOPED_TRACE(value);
+    EXPECT_THROW((void)decode_plan_response(with_value(payload, "hit=", value)),
+                 std::invalid_argument);
+  }
 }
 
 TEST(PlanProtocol, ServeConnectionAnswersPlanStatsAndShutdown) {

@@ -36,6 +36,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -581,12 +582,15 @@ int main(int argc, char** argv) {
     return 2;
   }
   try {
-    std::ifstream in(argv[arg]);
+    std::ifstream in(argv[arg], std::ios::binary);
     if (!in) {
       std::fprintf(stderr, "cannot open %s\n", argv[arg]);
       return 1;
     }
-    const dpipe::InstructionProgram program = dpipe::load_program(in);
+    std::ostringstream text;
+    text << in.rdbuf();
+    const dpipe::InstructionProgram program =
+        dpipe::program_from_string(text.str());
     dpipe::require_valid_program(program);
     const dpipe::ModelDesc model = model_by_name(argv[arg + 1]);
     const dpipe::ClusterSpec cluster =

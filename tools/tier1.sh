@@ -8,9 +8,10 @@
 # concurrent TensorPool), and the plan-service suites (single-flight cache,
 # the stage-cost store's single-owner guard, concurrent request
 # determinism), then an
-# AddressSanitizer + UBSan build running the text codec suites and the
-# wave executor's suites (its flat node and done-flag arrays), ending with
-# a socket-level request-storm smoke of dpipe_plan_serve.
+# AddressSanitizer + UBSan build running the text codec suites, the
+# wave executor's suites (its flat node and done-flag arrays) and the byte
+# mutation harness under an allocation cap, ending with a socket-level
+# request-storm smoke of dpipe_plan_serve.
 # Run from the repository root.
 set -euo pipefail
 
@@ -40,7 +41,7 @@ TSAN_OPTIONS="halt_on_error=1" DPIPE_THREADS=4 \
 
 echo "== tier-1: AddressSanitizer + UBSan build (text codecs, wave executor) =="
 # The canonical writer formats numbers into fixed stack buffers and the
-# readers parse outside bytes: run the request/model/cluster/profiler
+# span reader parses outside bytes: run the request/model/cluster/profiler
 # fingerprint, plan store, wire protocol, checkpoint and .dpipe serializer
 # suites (golden bytes, edge values, hostile numbers) under ASan + UBSan.
 # The interpreter's static wave order indexes flat node, predecessor,
@@ -51,6 +52,13 @@ cmake --build build-asan -j"$(nproc)" --target dpipe_tests
 ASAN_OPTIONS="halt_on_error=1" UBSAN_OPTIONS="print_stacktrace=1" \
   ./build-asan/tests/dpipe_tests \
   --gtest_filter='PlanFingerprint.*:PlanStore.*:PlanProtocol.*:CheckpointIo.*:Serialize.*:WaveWidth.*:Interpreter.*:Interleaved.*'
+# The seeded mutation harness feeds truncated, flipped, spliced and
+# line-duplicated/dropped golden inputs to every reader of outside bytes.
+# Allocations above 256 MB abort the run instead of returning null, so a
+# reader that sizes an allocation by a count read from its input fails here.
+ASAN_OPTIONS="halt_on_error=1:max_allocation_size_mb=256:allocator_may_return_null=0" \
+  UBSAN_OPTIONS="print_stacktrace=1" \
+  ./build-asan/tests/dpipe_tests --gtest_filter='ByteMutation.*'
 
 echo "== tier-1: interleaved schedule smoke (executor widths 1 and 4) =="
 # The interleaved family exercises multi-virtual-stage device timelines on
