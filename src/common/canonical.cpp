@@ -4,7 +4,7 @@
 
 namespace dpipe {
 
-CanonicalWriter& CanonicalWriter::operator<<(double value) {
+CanonicalWriter& CanonicalWriter::write_text(double value) {
   // "%.17g" needs at most 24 bytes ("-2.2250738585072014e-308").
   char buf[32];
   const std::to_chars_result result = std::to_chars(

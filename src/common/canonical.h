@@ -1,5 +1,7 @@
 #pragma once
 
+#include <array>
+#include <bit>
 #include <charconv>
 #include <concepts>
 #include <cstddef>
@@ -20,8 +22,21 @@ namespace dpipe {
 /// hex without leading zeros. Each number is formatted into a fixed stack
 /// buffer and appended, so there is no stream, locale, or flag state to
 /// save and restore.
+///
+/// A writer built with DoubleFormat::kRawBits writes each double as its 8
+/// raw bytes instead, and everything else exactly as above. Its output is
+/// an in-process lookup key (request_key): compared, never parsed,
+/// persisted, sent or fingerprinted. "%.17g" round-trips every finite
+/// double, so over finite values two walks give equal keys iff they give
+/// equal texts (-0 and 0 differ in both); NaNs whose payloads differ share
+/// a text but not a key.
 class CanonicalWriter {
  public:
+  enum class DoubleFormat { kText, kRawBits };
+
+  CanonicalWriter() = default;
+  explicit CanonicalWriter(DoubleFormat doubles) : doubles_(doubles) {}
+
   CanonicalWriter& operator<<(std::string_view text) {
     out_.append(text);
     return *this;
@@ -30,7 +45,14 @@ class CanonicalWriter {
     out_.push_back(c);
     return *this;
   }
-  CanonicalWriter& operator<<(double value);
+  CanonicalWriter& operator<<(double value) {
+    if (doubles_ == DoubleFormat::kRawBits) {
+      const auto bytes = std::bit_cast<std::array<char, sizeof(double)>>(value);
+      out_.append(bytes.data(), bytes.size());
+      return *this;
+    }
+    return write_text(value);
+  }
 
   template <std::integral Int>
     requires(!std::same_as<Int, bool> && !std::same_as<Int, char>)
@@ -55,7 +77,10 @@ class CanonicalWriter {
   [[nodiscard]] std::string take() { return std::move(out_); }
 
  private:
+  CanonicalWriter& write_text(double value);
+
   std::string out_;
+  DoubleFormat doubles_ = DoubleFormat::kText;
 };
 
 namespace detail {

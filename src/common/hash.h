@@ -9,11 +9,11 @@
 namespace dpipe {
 
 /// A 128-bit content fingerprint: two independent 64-bit FNV-1a style
-/// streams over the same bytes. Used to key whole-plan cache entries and
-/// name on-disk plan files; every consumer that must be collision-proof
-/// (the in-memory plan cache, plan-store load verification) additionally
-/// compares the canonical request bytes, so the fingerprint only has to be
-/// collision-resistant, not cryptographic.
+/// streams over the same bytes. Used to name plan entries on disk and on
+/// the wire; every consumer that must be collision-proof compares full
+/// bytes instead (the in-memory plan cache matches request keys exactly,
+/// plan-store load verification re-parses the request bytes), so the
+/// fingerprint only has to be collision-resistant, not cryptographic.
 struct Fingerprint {
   std::uint64_t lo = 0;
   std::uint64_t hi = 0;

@@ -12,13 +12,24 @@ namespace dpipe {
 
 namespace {
 
+/// The divisors of `world` that are >= 2, ascending. Each divisor d with
+/// d * d <= world is paired with world / d, so the loop runs about
+/// sqrt(world) times (at most 46,341 for an int) and d never overflows.
 std::vector<int> default_group_candidates(int world) {
   std::vector<int> out;
-  for (int d = 2; d <= world; ++d) {
-    if (world % d == 0) {
+  std::vector<int> paired;  // world / d for each small divisor d, descending.
+  for (int d = 1; d <= world / d; ++d) {
+    if (world % d != 0) {
+      continue;
+    }
+    if (d >= 2) {
       out.push_back(d);
     }
+    if (world / d != d) {
+      paired.push_back(world / d);
+    }
   }
+  out.insert(out.end(), paired.rbegin(), paired.rend());
   return out;
 }
 

@@ -3,11 +3,11 @@
 namespace dpipe {
 
 std::shared_ptr<const CachedPlan> PlanCache::get_or_compute(
-    const std::string& request_text, const ComputeFn& compute, bool* hit) {
+    const std::string& key, const ComputeFn& compute, bool* hit) {
   std::shared_ptr<Slot> slot;
   {
     std::unique_lock<std::mutex> lock(mutex_);
-    const auto it = slots_.find(request_text);
+    const auto it = slots_.find(key);
     if (it != slots_.end()) {
       slot = it->second;
       if (slot->ready) {
@@ -36,7 +36,7 @@ std::shared_ptr<const CachedPlan> PlanCache::get_or_compute(
       return slot->value;
     }
     slot = std::make_shared<Slot>();
-    slots_.emplace(request_text, slot);
+    slots_.emplace(key, slot);
     ++stats_.misses;
   }
 
@@ -53,7 +53,7 @@ std::shared_ptr<const CachedPlan> PlanCache::get_or_compute(
       slot->ready = true;
       // Drop the failed slot so the next identical request retries; the
       // waiters still hold the shared_ptr and will observe the error.
-      slots_.erase(request_text);
+      slots_.erase(key);
     }
     ready_cv_.notify_all();
     throw;
@@ -70,10 +70,11 @@ std::shared_ptr<const CachedPlan> PlanCache::get_or_compute(
   return slot->value;
 }
 
-void PlanCache::put(std::shared_ptr<const CachedPlan> plan) {
+void PlanCache::put(const std::string& key,
+                    std::shared_ptr<const CachedPlan> plan) {
   DPIPE_REQUIRE(plan != nullptr, "cannot cache a null plan");
   const std::lock_guard<std::mutex> lock(mutex_);
-  auto& slot = slots_[plan->request_text];
+  auto& slot = slots_[key];
   if (slot != nullptr && !slot->ready) {
     return;  // An in-flight computation owns this slot; let it finish.
   }
@@ -83,9 +84,9 @@ void PlanCache::put(std::shared_ptr<const CachedPlan> plan) {
 }
 
 std::shared_ptr<const CachedPlan> PlanCache::find(
-    const std::string& request_text) const {
+    const std::string& key) const {
   const std::lock_guard<std::mutex> lock(mutex_);
-  const auto it = slots_.find(request_text);
+  const auto it = slots_.find(key);
   if (it == slots_.end() || !it->second->ready ||
       it->second->value == nullptr) {
     return nullptr;
@@ -141,7 +142,7 @@ PlanCache::Stats PlanCache::stats() const {
   const std::lock_guard<std::mutex> lock(mutex_);
   Stats out = stats_;
   out.entries = 0;
-  for (const auto& [text, slot] : slots_) {
+  for (const auto& [key, slot] : slots_) {
     if (slot->ready && slot->value != nullptr) {
       ++out.entries;
     }

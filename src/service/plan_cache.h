@@ -35,12 +35,12 @@ struct CachedPlan {
   }
 };
 
-/// Fingerprint-keyed whole-plan cache with single-flight deduplication:
-/// N concurrent identical cold requests run the planner exactly once — the
-/// first caller computes while the rest block on the in-flight slot and
-/// wake with the shared result. Entries are keyed by the full canonical
-/// request bytes (not the fingerprint), so a hash collision can never
-/// serve the wrong plan.
+/// Whole-plan cache with single-flight deduplication: N concurrent
+/// identical cold requests run the planner exactly once — the first caller
+/// computes while the rest block on the in-flight slot and wake with the
+/// shared result. Slots match exactly on opaque key bytes (the service
+/// uses request_key(), not the request text or its fingerprint), so a hash
+/// collision can never serve the wrong plan.
 class PlanCache {
  public:
   struct Stats {
@@ -55,23 +55,22 @@ class PlanCache {
 
   using ComputeFn = std::function<std::shared_ptr<const CachedPlan>()>;
 
-  /// Returns the plan for `request_text`, running `compute` (outside the
+  /// Returns the plan for `key`, running `compute` (outside the
   /// cache lock) only if no ready or in-flight entry exists. On compute
   /// failure the error propagates to this caller and every waiter, and the
   /// slot is removed so a later request retries. `hit` (optional) reports
   /// whether this call avoided running compute.
   [[nodiscard]] std::shared_ptr<const CachedPlan> get_or_compute(
-      const std::string& request_text, const ComputeFn& compute,
-      bool* hit = nullptr);
+      const std::string& key, const ComputeFn& compute, bool* hit = nullptr);
 
-  /// Inserts a ready entry (the plan-store warm-load path). Overwrites any
-  /// existing ready entry with the same request text; in-flight slots are
-  /// left to complete.
-  void put(std::shared_ptr<const CachedPlan> plan);
+  /// Inserts a ready entry under `key` (the plan-store warm-load path).
+  /// Overwrites any existing ready entry with the same key; in-flight slots
+  /// are left to complete.
+  void put(const std::string& key, std::shared_ptr<const CachedPlan> plan);
 
-  /// The ready entry for `request_text`, or nullptr. Never waits.
+  /// The ready entry for `key`, or nullptr. Never waits.
   [[nodiscard]] std::shared_ptr<const CachedPlan> find(
-      const std::string& request_text) const;
+      const std::string& key) const;
 
   /// Evicts every ready entry whose cluster fingerprint matches. In-flight
   /// computations are not interrupted (their requests were validated

@@ -113,7 +113,7 @@ void save_plan_entry(CanonicalWriter& out, const CachedPlan& entry) {
   out << "end\n";
 }
 
-CachedPlan load_plan_entry(std::string_view bytes) {
+CachedPlan load_plan_entry(std::string_view bytes, PlanRequest* request) {
   CanonicalReader in(bytes);
   require(in.line("plan header") == "dpipe-plan v1",
           "not a dpipe-plan v1 file");
@@ -137,12 +137,15 @@ CachedPlan load_plan_entry(std::string_view bytes) {
   // fails here instead of being served.
   require(fingerprint_bytes(entry.request_text) == entry.fingerprint,
           "plan entry fingerprint does not match its request bytes");
-  const PlanRequest request = parse_request_text(entry.request_text);
-  require(model_fingerprint(request.model) == entry.model_fp,
+  PlanRequest parsed = parse_request_text(entry.request_text);
+  require(model_fingerprint(parsed.model) == entry.model_fp,
           "plan entry model fingerprint mismatch");
-  require(cluster_fingerprint(request.cluster) == entry.cluster_fp,
+  require(cluster_fingerprint(parsed.cluster) == entry.cluster_fp,
           "plan entry cluster fingerprint mismatch");
   (void)program_from_string(entry.program_text);
+  if (request != nullptr) {
+    *request = std::move(parsed);
+  }
   return entry;
 }
 
@@ -171,10 +174,13 @@ PlanStore::LoadReport PlanStore::load_all() {
       std::ifstream in(path, std::ios::binary);
       require(static_cast<bool>(in), "cannot open plan file");
       const std::string bytes(std::istreambuf_iterator<char>(in), {});
-      auto entry = std::make_shared<CachedPlan>(load_plan_entry(bytes));
+      PlanRequest request;
+      auto entry =
+          std::make_shared<CachedPlan>(load_plan_entry(bytes, &request));
       require(path.filename().string() == entry->fingerprint.hex() + ".plan",
               "plan file name does not match its fingerprint");
       report.plans.push_back(std::move(entry));
+      report.requests.push_back(std::move(request));
     } catch (const std::exception&) {
       // Corrupt or stale-format entry: drop it from disk so it is
       // re-planned (and re-persisted) on next request.

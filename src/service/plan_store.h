@@ -8,6 +8,7 @@
 
 #include "common/canonical.h"
 #include "service/plan_cache.h"
+#include "service/request.h"
 
 namespace dpipe {
 
@@ -28,8 +29,10 @@ void save_plan_entry(CanonicalWriter& out, const CachedPlan& entry);
 /// must hash to the stored fingerprint and re-derive the stored model and
 /// cluster fingerprints, and the program must parse. Throws
 /// std::invalid_argument on any mismatch (the store treats that as a
-/// corrupt entry).
-[[nodiscard]] CachedPlan load_plan_entry(std::string_view bytes);
+/// corrupt entry). `request` (optional) receives the request that
+/// verification parsed from the request bytes.
+[[nodiscard]] CachedPlan load_plan_entry(std::string_view bytes,
+                                         PlanRequest* request = nullptr);
 
 /// A directory of persisted plans, one "<fingerprint>.plan" file per
 /// entry, written atomically (temp file + rename). A restarted plan
@@ -39,6 +42,8 @@ class PlanStore {
  public:
   struct LoadReport {
     std::vector<std::shared_ptr<const CachedPlan>> plans;
+    /// requests[i] is plans[i]'s request, parsed while verifying it.
+    std::vector<PlanRequest> requests;
     std::size_t corrupt_dropped = 0;  ///< Unparseable/mismatched, deleted.
   };
 

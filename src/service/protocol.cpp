@@ -2,6 +2,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdint>
 #include <cstring>
@@ -99,9 +100,17 @@ std::optional<std::string> read_frame(int fd) {
   if (length > kMaxFrameBytes) {
     throw std::runtime_error("frame length prefix exceeds limit");
   }
-  std::string payload(length, '\0');
-  if (length > 0 && !read_all(fd, payload.data(), length)) {
-    throw std::runtime_error("truncated frame");
+  // The payload grows in bounded chunks as its bytes arrive, so a length
+  // prefix whose bytes never come costs one chunk, not the claimed size.
+  constexpr std::size_t kChunkBytes = 64u * 1024u;
+  std::string payload;
+  while (payload.size() < length) {
+    const std::size_t got = payload.size();
+    const std::size_t chunk = std::min<std::size_t>(kChunkBytes, length - got);
+    payload.resize(got + chunk);
+    if (!read_all(fd, payload.data() + got, chunk)) {
+      throw std::runtime_error("truncated frame");
+    }
   }
   return payload;
 }

@@ -28,7 +28,9 @@ void write_frame(int fd, const std::string& payload);
 
 /// Reads one frame. Returns std::nullopt on clean EOF at a frame boundary;
 /// throws std::runtime_error on I/O failure, a truncated frame, or a length
-/// prefix above kMaxFrameBytes.
+/// prefix above kMaxFrameBytes. The payload grows in bounded chunks as
+/// bytes arrive, so a truncated frame allocates at most one 64 KiB chunk
+/// beyond the bytes it carried.
 [[nodiscard]] std::optional<std::string> read_frame(int fd);
 
 /// Request payload: a verb line then the verb's body.

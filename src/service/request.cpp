@@ -32,12 +32,13 @@ std::string canonical_text(const auto& value) {
   return out.take();
 }
 
-}  // namespace
-
-std::string canonical_request_text(const PlanRequest& request) {
+/// The one walk over a request, shared by its text and its key. Empty
+/// candidate lists are written as their defaults.
+std::string encode_request(const PlanRequest& request,
+                           CanonicalWriter::DoubleFormat doubles) {
   PlannerOptions options = request.options;
   Planner::apply_default_candidates(options, request.cluster.world_size());
-  CanonicalWriter out;
+  CanonicalWriter out(doubles);
   out << "dpipe-plan-request v2\n";
   write_canonical(out, request.model);
   write_canonical(out, request.cluster);
@@ -55,6 +56,16 @@ std::string canonical_request_text(const PlanRequest& request) {
   write_canonical(out, options.profiler);
   out << "end\n";
   return out.take();
+}
+
+}  // namespace
+
+std::string canonical_request_text(const PlanRequest& request) {
+  return encode_request(request, CanonicalWriter::DoubleFormat::kText);
+}
+
+std::string request_key(const PlanRequest& request) {
+  return encode_request(request, CanonicalWriter::DoubleFormat::kRawBits);
 }
 
 PlanRequest parse_request_text(std::string_view text) {

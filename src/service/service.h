@@ -26,9 +26,10 @@ struct PlanServiceOptions {
 };
 
 /// The multi-tenant planning service: accepts concurrent plan requests,
-/// answers repeats from a fingerprint-keyed whole-plan cache (single-flight:
-/// N concurrent identical cold requests run the planner once), and
-/// optionally persists every plan to a PlanStore for warm restart. Cold
+/// answers repeats from a whole-plan cache keyed by request_key()
+/// (single-flight: N concurrent identical cold requests run the planner
+/// once), and optionally persists every plan to a PlanStore for warm
+/// restart. Only a cold plan writes the canonical request text. Cold
 /// plans keep no stage costs across requests: each (S, M, D) evaluation
 /// memoizes its own, and the memo is freed when the plan returns. All
 /// public methods are thread-safe.
@@ -85,7 +86,7 @@ class PlanService {
  private:
   /// Runs the planner for one cold request and packages the result.
   [[nodiscard]] std::shared_ptr<const CachedPlan> compute_plan(
-      const PlanRequest& request, const std::string& request_text);
+      const PlanRequest& request);
 
   PlanServiceOptions options_;
   PlanCache cache_;

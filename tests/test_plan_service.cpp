@@ -151,6 +151,7 @@ TEST(PlanFingerprint, DefaultAndExplicitCandidatesShareIdentity) {
   EXPECT_FALSE(explicit_defaults.options.stage_candidates.empty());
   EXPECT_EQ(canonical_request_text(defaulted),
             canonical_request_text(explicit_defaults));
+  EXPECT_EQ(request_key(defaulted), request_key(explicit_defaults));
 }
 
 TEST(PlanFingerprint, ResultInvisibleOptionsDoNotFragmentTheCache) {
@@ -423,9 +424,9 @@ TEST(PlanCache, InvalidateClusterEvictsOnlyMatchingEntries) {
   PlanCache cache;
   const Fingerprint cluster_a = fingerprint_bytes("cluster-a");
   const Fingerprint cluster_b = fingerprint_bytes("cluster-b");
-  cache.put(fake_entry("r1", cluster_a));
-  cache.put(fake_entry("r2", cluster_a));
-  cache.put(fake_entry("r3", cluster_b));
+  cache.put("r1", fake_entry("r1", cluster_a));
+  cache.put("r2", fake_entry("r2", cluster_a));
+  cache.put("r3", fake_entry("r3", cluster_b));
   EXPECT_EQ(cache.invalidate_cluster(cluster_a), 2u);
   EXPECT_EQ(cache.find("r1"), nullptr);
   EXPECT_EQ(cache.find("r2"), nullptr);
@@ -785,6 +786,127 @@ TEST(PlanService, ConcurrentMixedBatchMatchesSequentialBitForBit) {
   }
 }
 
+/// The model's layer doubles in write order, as pointers into `model`.
+std::vector<double*> layer_doubles(ModelDesc& model) {
+  std::vector<double*> out;
+  for (ComponentDesc& c : model.components) {
+    for (LayerDesc& l : c.layers) {
+      for (double* field :
+           {&l.fwd_gflop, &l.bwd_flop_factor, &l.param_mb, &l.grad_mb,
+            &l.output_mb, &l.act_mb, &l.overhead_fwd_ms, &l.overhead_bwd_ms,
+            &l.efficiency}) {
+        out.push_back(field);
+      }
+    }
+  }
+  return out;
+}
+
+/// One single-field change to a request, named for failure messages.
+struct RequestVariant {
+  std::string label;
+  PlanRequest request;
+};
+
+/// Seeded single-field variants of `base`: layer doubles one ulp up and
+/// down, 0.0 and -0.0 in one field, a renamed layer and component, another
+/// batch and noise seed, and another search_threads (which is not part of
+/// the request's identity).
+std::vector<RequestVariant> single_field_variants(const PlanRequest& base,
+                                                  std::uint64_t seed) {
+  std::vector<RequestVariant> out;
+  const auto add = [&](std::string label, const auto& change) {
+    PlanRequest request = base;
+    change(request);
+    out.push_back({std::move(label), std::move(request)});
+  };
+  PlanRequest copy = base;
+  const std::size_t num_doubles = layer_doubles(copy.model).size();
+  std::uint64_t state = seed;
+  const auto next_index = [&] {
+    state = state * 6364136223846793005ULL + 1442695040888963407ULL;
+    return static_cast<std::size_t>(state >> 33) % num_doubles;
+  };
+  for (int i = 0; i < 24; ++i) {
+    const std::size_t at = next_index();
+    for (const double toward : {INFINITY, -INFINITY}) {
+      add("layer double " + std::to_string(at) + " +-1 ulp",
+          [&](PlanRequest& r) {
+            double& field = *layer_doubles(r.model)[at];
+            field = std::nextafter(field, toward);
+          });
+    }
+  }
+  const std::size_t zero_at = next_index();
+  add("0.0", [&](PlanRequest& r) { *layer_doubles(r.model)[zero_at] = 0.0; });
+  add("-0.0",
+      [&](PlanRequest& r) { *layer_doubles(r.model)[zero_at] = -0.0; });
+  add("layer name", [](PlanRequest& r) {
+    r.model.components[r.model.backbone_ids[0]].layers[0].name += "_x";
+  });
+  add("component name",
+      [](PlanRequest& r) { r.model.components[0].name += "_x"; });
+  add("batch", [](PlanRequest& r) { r.options.global_batch += 64.0; });
+  add("noise seed",
+      [&](PlanRequest& r) { r.options.profiler.noise_seed ^= seed; });
+  add("search_threads", [](PlanRequest& r) { r.options.search_threads = 3; });
+  return out;
+}
+
+TEST(PlanService, RequestKeyMatchesCanonicalText) {
+  for (const ModelDesc& model :
+       {make_stable_diffusion_v21(), make_cdm_lsun()}) {
+    PlanRequest base = small_request();
+    base.model = model;
+    const std::string base_key = request_key(base);
+    // The key writes doubles as raw bits, so it is not the text.
+    EXPECT_NE(base_key, canonical_request_text(base));
+    std::vector<RequestVariant> variants =
+        single_field_variants(base, 0x5EED0 + model.components.size());
+    variants.insert(variants.begin(), {"base", base});
+    std::vector<std::string> keys;
+    std::vector<std::string> texts;
+    for (const RequestVariant& v : variants) {
+      keys.push_back(request_key(v.request));
+      texts.push_back(canonical_request_text(v.request));
+    }
+    for (std::size_t a = 0; a < variants.size(); ++a) {
+      for (std::size_t b = a + 1; b < variants.size(); ++b) {
+        EXPECT_EQ(keys[a] == keys[b], texts[a] == texts[b])
+            << model.name << ": " << variants[a].label << " vs "
+            << variants[b].label;
+      }
+      const std::string& label = variants[a].label;
+      if (label == "search_threads") {
+        EXPECT_EQ(keys[a], base_key) << model.name;
+      } else if (label != "base" && label != "0.0") {
+        // The 0.0 variant may leave a field that already held 0.0.
+        EXPECT_NE(keys[a], base_key) << model.name << ": " << label;
+      }
+    }
+  }
+}
+
+TEST(PlanService, KeyingAHundredMillionDeviceRequestTakesUnderOneMs) {
+  // Keying resolves the default group candidates (the divisors of the
+  // world size); a small model keeps the rest of the key negligible.
+  PlanRequest request;
+  request.model = make_uniform_model(4, 1.0, 1.0);
+  request.cluster = make_p4de_cluster(1);
+  request.cluster.devices_per_machine = 100'000'000;
+  double best_ms = INFINITY;
+  for (int rep = 0; rep < 3; ++rep) {
+    const auto start = std::chrono::steady_clock::now();
+    const std::string key = request_key(request);
+    best_ms = std::min(
+        best_ms, std::chrono::duration<double, std::milli>(
+                     std::chrono::steady_clock::now() - start)
+                     .count());
+    EXPECT_FALSE(key.empty());
+  }
+  EXPECT_LT(best_ms, 1.0);
+}
+
 // --- Wire protocol ----------------------------------------------------------
 
 TEST(PlanProtocol, FramesRoundTripOverAPipe) {
@@ -803,6 +925,29 @@ TEST(PlanProtocol, FramesRoundTripOverAPipe) {
   EXPECT_EQ(read_frame(fds[0]).value(), std::string(100000, 'x'));
   EXPECT_FALSE(read_frame(fds[0]).has_value());  // Clean EOF.
   writer.join();
+  ::close(fds[0]);
+}
+
+TEST(PlanProtocol, TruncatedHugeFrameFailsWithoutAllocating) {
+  // A length prefix claiming 60 MiB, then 3 bytes, then EOF: the reader
+  // must fail as truncated having allocated only for what arrived.
+  int fds[2];
+  ASSERT_EQ(::pipe(fds), 0);
+  constexpr std::uint32_t kClaimed = 60u * 1024u * 1024u;
+  const char bytes[] = {static_cast<char>(kClaimed >> 24),
+                        static_cast<char>((kClaimed >> 16) & 0xFF),
+                        static_cast<char>((kClaimed >> 8) & 0xFF),
+                        static_cast<char>(kClaimed & 0xFF),
+                        'a', 'b', 'c'};
+  ASSERT_EQ(::write(fds[1], bytes, sizeof(bytes)),
+            static_cast<ssize_t>(sizeof(bytes)));
+  ::close(fds[1]);
+  try {
+    (void)read_frame(fds[0]);
+    ADD_FAILURE() << "a truncated frame was accepted";
+  } catch (const std::runtime_error& error) {
+    EXPECT_STREQ(error.what(), "truncated frame");
+  }
   ::close(fds[0]);
 }
 

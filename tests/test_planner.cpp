@@ -140,6 +140,28 @@ struct BaselineFixture {
            default_batch_grid()) {}
 };
 
+TEST(PlannerDefaults, GroupCandidatesAreTheDivisorsAboveOne) {
+  for (int world = 1; world <= 10'000; ++world) {
+    std::vector<int> expected;
+    for (int d = 2; d <= world; ++d) {
+      if (world % d == 0) {
+        expected.push_back(d);
+      }
+    }
+    PlannerOptions options;
+    Planner::apply_default_candidates(options, world);
+    ASSERT_EQ(options.group_candidates, expected) << "world " << world;
+  }
+}
+
+TEST(PlannerDefaults, GroupCandidatesOfTheLargestIntWorld) {
+  // 2^31 - 1 is prime; counting divisors up to it would overflow the loop
+  // variable and divide by zero.
+  PlannerOptions options;
+  Planner::apply_default_candidates(options, 2'147'483'647);
+  EXPECT_EQ(options.group_candidates, std::vector<int>{2'147'483'647});
+}
+
 TEST(Baselines, DdpSyncFractionGrowsWithClusterSize) {
   // Paper Table 2 shape: 5.2% -> 19.3% -> 36.1% -> 38.1% for SD at local
   // batch 8 on 8..64 GPUs.

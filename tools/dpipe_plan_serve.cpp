@@ -1,7 +1,7 @@
 // dpipe_plan_serve: the planning service as a daemon. Clients (dpipe_plan
 // --connect, or anything speaking the framed protocol) submit plan requests
 // and get back the full verified plan entry; repeats are answered from the
-// fingerprint-keyed whole-plan cache, and with --store the cache survives
+// exact-match whole-plan cache, and with --store the cache survives
 // restarts.
 //
 //   dpipe_plan_serve --socket <path> [options]   Unix socket server

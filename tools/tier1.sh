@@ -8,10 +8,12 @@
 # concurrent TensorPool), and the plan-service suites (single-flight cache,
 # the stage-cost store's single-owner guard, concurrent request
 # determinism), then an
-# AddressSanitizer + UBSan build running the text codec suites, the
-# wave executor's suites (its flat node and done-flag arrays) and the byte
-# mutation harness under an allocation cap, ending with a socket-level
-# request-storm smoke of dpipe_plan_serve.
+# AddressSanitizer + UBSan build running the text codec suites, the plan
+# cache and service suites (the request key copies raw double bytes), the
+# wave executor's suites (its flat node and done-flag arrays), the byte
+# mutation harness under an allocation cap and the truncated huge-frame
+# test under a 16 MB one, ending with a socket-level request-storm smoke of
+# dpipe_plan_serve.
 # Run from the repository root.
 set -euo pipefail
 
@@ -39,19 +41,27 @@ TSAN_OPTIONS="halt_on_error=1" DPIPE_THREADS=4 \
   ./build-tsan/tests/dpipe_tests \
   --gtest_filter='Channel.*:PipelineTrainer.*:Equivalence.*:Fault.*:ParallelFor.*:Executor.*:WaveWidth.*:PlannerSearch.*:Kernels.*:TensorPool.*:Trajectory.*:RngSeed.*:SimdDispatch.*:SimdParity.*:Interpreter.*:Parity.*:Interleaved.*:Elastic.*:Reshard.*:CheckpointIo.*:PlanFingerprint.*:StageCostStore.*:PlanCache.*:PlanStore.*:PlanService.*:PlanProtocol.*:Eltwise*'
 
-echo "== tier-1: AddressSanitizer + UBSan build (text codecs, wave executor) =="
-# The canonical writer formats numbers into fixed stack buffers and the
-# span reader parses outside bytes: run the request/model/cluster/profiler
-# fingerprint, plan store, wire protocol, checkpoint and .dpipe serializer
-# suites (golden bytes, edge values, hostile numbers) under ASan + UBSan.
-# The interpreter's static wave order indexes flat node, predecessor,
-# done-flag and tensor-slot arrays: its width, interpreter and interleaved
-# suites run here too.
+echo "== tier-1: AddressSanitizer + UBSan build (text codecs, plan cache, wave executor) =="
+# The canonical writer formats numbers into fixed stack buffers (or, for a
+# request key, copies each double's raw bytes) and the span reader parses
+# outside bytes: run the request/model/cluster/profiler fingerprint, plan
+# cache, plan store, plan service, wire protocol, checkpoint and .dpipe
+# serializer suites (golden bytes, edge values, hostile numbers, key versus
+# text identity) under ASan + UBSan. The interpreter's static wave order
+# indexes flat node, predecessor, done-flag and tensor-slot arrays: its
+# width, interpreter and interleaved suites run here too.
 cmake -B build-asan -S . -DDPIPE_SANITIZE=address
 cmake --build build-asan -j"$(nproc)" --target dpipe_tests
 ASAN_OPTIONS="halt_on_error=1" UBSAN_OPTIONS="print_stacktrace=1" \
   ./build-asan/tests/dpipe_tests \
-  --gtest_filter='PlanFingerprint.*:PlanStore.*:PlanProtocol.*:CheckpointIo.*:Serialize.*:WaveWidth.*:Interpreter.*:Interleaved.*'
+  --gtest_filter='PlanFingerprint.*:PlanCache.*:PlanStore.*:PlanService.*:PlanProtocol.*:CheckpointIo.*:Serialize.*:WaveWidth.*:Interpreter.*:Interleaved.*'
+# A frame header claiming 60 MiB followed by 3 bytes must fail as truncated
+# having allocated only for the bytes that came: any allocation above 16 MB
+# aborts the run.
+ASAN_OPTIONS="halt_on_error=1:max_allocation_size_mb=16:allocator_may_return_null=0" \
+  UBSAN_OPTIONS="print_stacktrace=1" \
+  ./build-asan/tests/dpipe_tests \
+  --gtest_filter='PlanProtocol.TruncatedHugeFrameFailsWithoutAllocating'
 # The seeded mutation harness feeds truncated, flipped, spliced and
 # line-duplicated/dropped golden inputs to every reader of outside bytes.
 # Allocations above 256 MB abort the run instead of returning null, so a
