@@ -11,8 +11,10 @@
 
 #include <array>
 #include <atomic>
+#include <bit>
 #include <cmath>
 #include <chrono>
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -20,6 +22,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/canonical.h"
 #include "core/instr/serialize.h"
 #include "core/planner/planner.h"
 #include "model/zoo.h"
@@ -200,12 +203,29 @@ TEST(PlanFingerprint, HexRoundTrips) {
   EXPECT_THROW((void)Fingerprint::from_hex("nope"), std::invalid_argument);
 }
 
+/// Every field of every explored config, doubles as their raw bits in
+/// hex, so a plan search that drifts by one ulp anywhere in the grid
+/// changes the bytes.
+std::string explored_bytes(const std::vector<PlanConfig>& explored) {
+  CanonicalWriter out;
+  for (const PlanConfig& c : explored) {
+    out << c.num_stages << ' ' << c.num_microbatches << ' ' << c.group_size
+        << ' ' << c.data_parallel_degree << ' ';
+    out.hex(std::bit_cast<std::uint64_t>(c.predicted_iteration_ms)) << ' ';
+    out.hex(std::bit_cast<std::uint64_t>(c.planned_bubble_ratio)) << ' ';
+    out << (c.memory_feasible ? 1 : 0) << ' ' << c.vstages << '\n';
+  }
+  return out.take();
+}
+
 TEST(PlanFingerprint, GoldenCanonicalBytes) {
-  // Pinned fingerprints of the canonical bytes of two paper workloads. The
-  // request text is the plan-cache key and the name of every stored plan,
-  // so any drift in the canonical writer (request, model, cluster,
+  // Pinned fingerprints of the canonical bytes of three paper workloads.
+  // The request text is the plan-cache key and the name of every stored
+  // plan, so any drift in the canonical writer (request, model, cluster,
   // profiler, or program text) must fail here, not silently orphan
-  // persisted plans.
+  // persisted plans. The program and the whole explored grid also pin the
+  // planner's search: single-backbone (SD) and bidirectional (CDM) plans
+  // must stay bit-identical through any rewrite of the partitioner.
   struct Golden {
     ModelDesc model;
     int machines;
@@ -216,17 +236,26 @@ TEST(PlanFingerprint, GoldenCanonicalBytes) {
     const char* cluster_fp;
     const char* program;
     std::size_t program_bytes;
+    const char* explored;
+    std::size_t explored_configs;
   };
   const Golden goldens[] = {
       {make_stable_diffusion_v21(), 2, 512.0,
        "6b09dacab4f513037520d29804d39a54", 13323,
        "c13c3cc4e51646815530c7eeed4f63e2",
        "d4c2532cfab5953e7daf613180ea20fe",
-       "20e97d4b46e702bae46adc94cac20b26", 8643},
+       "20e97d4b46e702bae46adc94cac20b26", 8643,
+       "8f3d1f74140c2534daa1b18fe65123c9", 36},
       {make_cdm_lsun(), 1, 128.0, "67b80e0fa63b85720a2de9104d1fc7d1", 10735,
        "5a273b6a4d9bda1985e5efc09d56df75",
        "ac6de2522f01667389e269e1f74df27b",
-       "b6f6c463fc1b4d79e833c37accc772a9", 4216},
+       "b6f6c463fc1b4d79e833c37accc772a9", 4216,
+       "00ba7f243584f1c0ac75c6a8a7bf7f25", 24},
+      {make_cdm_imagenet(), 1, 128.0, "4446339e102af091f59425f747f260e4",
+       12491, "bc26cbb4096639ee644138f3f15a42b6",
+       "ac6de2522f01667389e269e1f74df27b",
+       "c56c0f958f783505f7a19bd44433e5b3", 4218,
+       "13ab22df805b7cf2f0b37b414465b2ad", 24},
   };
   for (const Golden& golden : goldens) {
     SCOPED_TRACE(golden.model.name);
@@ -239,12 +268,14 @@ TEST(PlanFingerprint, GoldenCanonicalBytes) {
     EXPECT_EQ(fingerprint_bytes(text).hex(), golden.request);
     EXPECT_EQ(model_fingerprint(request.model).hex(), golden.model_fp);
     EXPECT_EQ(cluster_fingerprint(request.cluster).hex(), golden.cluster_fp);
-    const std::string program = program_to_string(
-        Planner(request.model, request.cluster, request.options)
-            .plan()
-            .program);
+    const Plan plan =
+        Planner(request.model, request.cluster, request.options).plan();
+    const std::string program = program_to_string(plan.program);
     EXPECT_EQ(program.size(), golden.program_bytes);
     EXPECT_EQ(fingerprint_bytes(program).hex(), golden.program);
+    EXPECT_EQ(plan.explored.size(), golden.explored_configs);
+    EXPECT_EQ(fingerprint_bytes(explored_bytes(plan.explored)).hex(),
+              golden.explored);
   }
 }
 
