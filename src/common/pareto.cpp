@@ -6,25 +6,6 @@
 
 namespace dpipe {
 
-namespace {
-
-bool dominates(const ParetoPoint& a, const ParetoPoint& b) {
-  return a.w <= b.w && a.y <= b.y;
-}
-
-}  // namespace
-
-bool ParetoFrontier::insert(ParetoPoint p) {
-  for (const ParetoPoint& q : points_) {
-    if (dominates(q, p)) {
-      return false;
-    }
-  }
-  std::erase_if(points_, [&](const ParetoPoint& q) { return dominates(p, q); });
-  points_.push_back(p);
-  return true;
-}
-
 ParetoPoint ParetoFrontier::best(double coeff_w) const {
   ensure(!points_.empty(), "ParetoFrontier::best on empty frontier");
   return *std::min_element(points_.begin(), points_.end(),

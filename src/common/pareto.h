@@ -24,13 +24,26 @@ struct ParetoPoint {
 class ParetoFrontier {
  public:
   /// Inserts `p` unless an existing point dominates it; removes points that
-  /// `p` dominates. Returns true if the point was inserted.
-  bool insert(ParetoPoint p);
+  /// `p` dominates. Returns true if the point was inserted. Defined here so
+  /// the DP loops, which call it millions of times per plan, inline it.
+  bool insert(ParetoPoint p) {
+    for (const ParetoPoint& q : points_) {
+      if (dominates(q, p)) {
+        return false;
+      }
+    }
+    std::erase_if(points_,
+                  [&p](const ParetoPoint& q) { return dominates(p, q); });
+    points_.push_back(p);
+    return true;
+  }
 
   [[nodiscard]] const std::vector<ParetoPoint>& points() const {
     return points_;
   }
   [[nodiscard]] bool empty() const { return points_.empty(); }
+  /// Drops every point, keeping the storage for reuse.
+  void clear() { points_.clear(); }
   [[nodiscard]] std::size_t size() const { return points_.size(); }
 
   /// Returns the point minimizing `coeff_w * w + y`, which is how the
@@ -38,6 +51,10 @@ class ParetoFrontier {
   [[nodiscard]] ParetoPoint best(double coeff_w) const;
 
  private:
+  static bool dominates(const ParetoPoint& a, const ParetoPoint& b) {
+    return a.w <= b.w && a.y <= b.y;
+  }
+
   std::vector<ParetoPoint> points_;
 };
 

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <functional>
 #include <limits>
-#include <map>
+#include <vector>
 
 #include "common/pareto.h"
 #include "core/partition/stage_cache.h"
@@ -85,63 +85,101 @@ BiPartitionResult partition_bidirectional(const DpPartitioner& partitioner,
   constexpr std::size_t kRootTag = std::numeric_limits<std::size_t>::max();
   std::vector<Transition> transitions;
 
-  using StateKey = std::pair<int, int>;
-  std::vector<std::map<StateKey, ParetoFrontier>> frontiers(S + 1);
-  {
-    ParetoFrontier root;
-    root.insert({0.0, 0.0, kRootTag});
-    frontiers[0].emplace(StateKey{0, 0}, std::move(root));
-  }
+  // The frontiers of chain stages s and s + 1 as dense row-major
+  // (down_placed, up_placed) arrays; visiting them row-major is the order
+  // of a sorted state map, so ties break as they always have. Backpointers
+  // live in `transitions`, so earlier stages' frontiers are not kept.
+  const int cols = Lu + 1;
+  const auto state = [cols](int down_placed, int up_placed) {
+    return static_cast<std::size_t>(down_placed) * cols + up_placed;
+  };
+  std::vector<ParetoFrontier> frontiers(state(Ld, Lu) + 1);
+  std::vector<ParetoFrontier> next_frontiers(frontiers.size());
+  frontiers[state(0, 0)].insert({0.0, 0.0, kRootTag});
+
+  // The (t0, y) of chain stage s's down and up candidates, dense by
+  // (lo, hi) and costed on first use: a stage cost depends on (s, lo, hi)
+  // alone, however many states and pairings reach it, so each is asked of
+  // `partitioner` (and `cache`) once.
+  struct Cost {
+    double t0_ms = 0.0;
+    double y_ms = 0.0;
+    bool known = false;
+  };
+  std::vector<Cost> down_costs(static_cast<std::size_t>(Ld + 1) * (Ld + 1));
+  std::vector<Cost> up_costs(static_cast<std::size_t>(Lu + 1) * (Lu + 1));
+  const auto cost_of = [&](std::vector<Cost>& table, int layers,
+                           int component, int lo, int hi, int chain_begin,
+                           PipeDirection direction) -> const Cost& {
+    Cost& cost = table[static_cast<std::size_t>(lo) * (layers + 1) + hi];
+    if (!cost.known) {
+      const StageCost full = partitioner.stage_cost(
+          component, lo, hi, r, chain_begin, opts, direction, cache);
+      cost = {full.t0_ms, full.y_ms, true};
+    }
+    return cost;
+  };
 
   for (int s = 0; s < S; ++s) {
     const int stages_left = S - s;
     const int chain_begin = s * r;
-    for (const auto& [key, frontier] : frontiers[s]) {
-      const auto [down_placed, up_placed] = key;
-      const int max_down_take = Ld - down_placed - (stages_left - 1);
-      const int max_up_take = Lu - up_placed - (stages_left - 1);
-      for (int dt = 1; dt <= max_down_take; ++dt) {
-        if (stages_left == 1 && down_placed + dt != Ld) {
+    std::fill(down_costs.begin(), down_costs.end(), Cost{});
+    std::fill(up_costs.begin(), up_costs.end(), Cost{});
+    for (int down_placed = 0; down_placed <= Ld; ++down_placed) {
+      for (int up_placed = 0; up_placed <= Lu; ++up_placed) {
+        const ParetoFrontier& frontier =
+            frontiers[state(down_placed, up_placed)];
+        if (frontier.empty()) {
           continue;
         }
-        const int down_lo = down_placed;
-        const int down_hi = down_placed + dt;
-        const StageCost down_cost = partitioner.stage_cost(
-            down_component, down_lo, down_hi, r, chain_begin, opts,
-            PipeDirection::kDown, cache);
-        for (int ut = 1; ut <= max_up_take; ++ut) {
-          if (stages_left == 1 && up_placed + ut != Lu) {
-            continue;
-          }
-          // Up layers counted from the back: this chain stage holds
-          // [Lu - up_placed - ut, Lu - up_placed).
-          const int up_lo = Lu - up_placed - ut;
-          const int up_hi = Lu - up_placed;
-          const StageCost up_cost = partitioner.stage_cost(
-              up_component, up_lo, up_hi, r, chain_begin, opts,
-              PipeDirection::kUp, cache);
-          const double t0 = std::max(down_cost.t0_ms, up_cost.t0_ms);
-          const double y = std::max(down_cost.y_ms, up_cost.y_ms);
-          for (const ParetoPoint& p : frontier.points()) {
-            ParetoPoint next;
-            next.w = std::max(p.w, t0);
-            next.y = std::max(p.y, y);
-            next.tag = transitions.size();
-            if (frontiers[s + 1][{down_hi, up_placed + ut}].insert(next)) {
-              transitions.push_back(
-                  {p.tag, down_lo, down_hi, up_lo, up_hi, chain_begin});
+        // The last chain stage takes whatever is left of both backbones.
+        const int max_down_take = Ld - down_placed - (stages_left - 1);
+        const int max_up_take = Lu - up_placed - (stages_left - 1);
+        const int min_down_take = stages_left == 1 ? max_down_take : 1;
+        const int min_up_take = stages_left == 1 ? max_up_take : 1;
+        for (int dt = min_down_take; dt <= max_down_take; ++dt) {
+          const int down_lo = down_placed;
+          const int down_hi = down_placed + dt;
+          const Cost& down_cost =
+              cost_of(down_costs, Ld, down_component, down_lo, down_hi,
+                      chain_begin, PipeDirection::kDown);
+          for (int ut = min_up_take; ut <= max_up_take; ++ut) {
+            // Up layers counted from the back: this chain stage holds
+            // [Lu - up_placed - ut, Lu - up_placed).
+            const int up_lo = Lu - up_placed - ut;
+            const int up_hi = Lu - up_placed;
+            const Cost& up_cost = cost_of(up_costs, Lu, up_component, up_lo,
+                                          up_hi, chain_begin,
+                                          PipeDirection::kUp);
+            const double t0 = std::max(down_cost.t0_ms, up_cost.t0_ms);
+            const double y = std::max(down_cost.y_ms, up_cost.y_ms);
+            ParetoFrontier& target =
+                next_frontiers[state(down_hi, up_placed + ut)];
+            for (const ParetoPoint& p : frontier.points()) {
+              ParetoPoint next;
+              next.w = std::max(p.w, t0);
+              next.y = std::max(p.y, y);
+              next.tag = transitions.size();
+              if (target.insert(next)) {
+                transitions.push_back(
+                    {p.tag, down_lo, down_hi, up_lo, up_hi, chain_begin});
+              }
             }
           }
         }
       }
     }
+    frontiers.swap(next_frontiers);
+    for (ParetoFrontier& frontier : next_frontiers) {
+      frontier.clear();
+    }
   }
 
-  const auto final_it = frontiers[S].find({Ld, Lu});
-  ensure(final_it != frontiers[S].end() && !final_it->second.empty(),
+  const ParetoFrontier& final_frontier = frontiers[state(Ld, Lu)];
+  ensure(!final_frontier.empty(),
          "bidirectional DP found no feasible assignment");
   const double coeff = static_cast<double>(m_cdm) + 2.0 * S - 2.0;
-  const ParetoPoint best = final_it->second.best(coeff);
+  const ParetoPoint best = final_frontier.best(coeff);
 
   BiPartitionResult result;
   result.t0_ms = best.w;

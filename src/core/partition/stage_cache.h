@@ -15,12 +15,13 @@
 namespace dpipe {
 
 /// Memoizes DpPartitioner::stage_cost results for one fixed (ProfileDb,
-/// CommModel, PartitionOptions) context. The DP partitioner revisits the
-/// same (lo, hi, replicas, chain_begin) tuple from many DP states (and the
-/// bidirectional DP recomputes the up-stage cost for every down-take it
-/// pairs it with), the brute-force oracle re-enumerates the same stages,
-/// and the schedule builder re-derives the chosen stages' timings — all of
-/// which collapse to one computation per distinct key here.
+/// CommModel, PartitionOptions) context. Both DPs ask for each distinct
+/// (lo, hi, replicas, chain_begin, direction) once (the bidirectional DP
+/// keeps the costs it has asked for in dense per-stage tables), so within
+/// one planner evaluation the hits are the schedule builder re-deriving
+/// the chosen stages' timings; the brute-force oracle, which re-enumerates
+/// the same stages, hits far more. Every caller collapses to one
+/// computation per distinct key here.
 ///
 /// A cache is only valid for the PartitionOptions it was first used with:
 /// the first bind() snapshots every option field stage_cost reads, and

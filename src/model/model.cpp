@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <cmath>
 #include <numeric>
 
 namespace dpipe {
@@ -112,8 +113,8 @@ std::vector<int> ModelDesc::non_trainable_topo_order() const {
       ++non_trainable_count;
     }
   }
-  ensure(static_cast<int>(order.size()) == non_trainable_count,
-         "non-trainable component dependencies contain a cycle");
+  require(static_cast<int>(order.size()) == non_trainable_count,
+          "non-trainable component dependencies contain a cycle");
   return order;
 }
 
@@ -126,6 +127,14 @@ double ModelDesc::trainable_param_mb() const {
   }
   return sum;
 }
+
+namespace {
+
+bool finite_non_negative(double value) {
+  return std::isfinite(value) && value >= 0.0;
+}
+
+}  // namespace
 
 void validate(const ModelDesc& model) {
   require(!model.components.empty(), "model has no components");
@@ -141,10 +150,21 @@ void validate(const ModelDesc& model) {
       require(dep >= 0 && dep < n, "component dependency out of range");
     }
     for (const LayerDesc& l : c.layers) {
-      require(l.fwd_gflop >= 0.0 && l.param_mb >= 0.0 && l.output_mb >= 0.0 &&
-                  l.act_mb >= 0.0,
-              "layer sizes must be non-negative");
-      require(l.bwd_flop_factor >= 0.0, "bwd_flop_factor must be >= 0");
+      require(finite_non_negative(l.fwd_gflop) &&
+                  finite_non_negative(l.param_mb) &&
+                  finite_non_negative(l.output_mb) &&
+                  finite_non_negative(l.act_mb),
+              "layer sizes must be finite and non-negative");
+      // Any negative grad_mb means "same as param_mb".
+      require(std::isfinite(l.grad_mb), "grad_mb must be finite");
+      require(finite_non_negative(l.bwd_flop_factor),
+              "bwd_flop_factor must be finite and >= 0");
+      require(finite_non_negative(l.overhead_fwd_ms) &&
+                  finite_non_negative(l.overhead_bwd_ms),
+              "layer overheads must be finite and non-negative");
+      // 0 selects the layer kind's default efficiency.
+      require(finite_non_negative(l.efficiency),
+              "efficiency must be finite and >= 0");
     }
   }
   require(model.self_cond_prob >= 0.0 && model.self_cond_prob <= 1.0,
@@ -230,6 +250,7 @@ ModelDesc read_canonical_model(CanonicalReader& in) {
   for (std::size_t b = 0; b < num_backbones; ++b) {
     model.backbone_ids.push_back(in.integer<int>("backbones"));
   }
+  validate(model);
   return model;
 }
 

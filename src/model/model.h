@@ -88,12 +88,16 @@ struct ModelDesc {
 
   [[nodiscard]] const ComponentDesc& backbone(int cascade_index) const;
   /// Indices of non-trainable components in a valid topological order.
+  /// Throws std::invalid_argument if their dependencies form a cycle.
   [[nodiscard]] std::vector<int> non_trainable_topo_order() const;
   [[nodiscard]] double trainable_param_mb() const;
 };
 
 /// Validates structural invariants (backbone ids in range and trainable,
-/// deps form a DAG, layer sizes non-negative). Throws on violation.
+/// deps form a DAG) and every layer number: sizes, bwd_flop_factor,
+/// overheads and efficiency finite and non-negative (efficiency 0 means
+/// the kind's default), grad_mb finite. Throws std::invalid_argument on
+/// violation.
 void validate(const ModelDesc& model);
 
 /// Appends the model in its canonical text form: every field, in a fixed
@@ -105,8 +109,9 @@ void write_canonical(CanonicalWriter& out, const ModelDesc& model);
 
 /// Parses write_canonical output. Throws std::invalid_argument on
 /// malformed input, including a numeric field that is empty, out of range,
-/// or followed by stray bytes. read_canonical_model then write_canonical is
-/// byte-identity.
+/// or followed by stray bytes, and on a model that fails validate() (a
+/// NaN or infinite layer number, a dependency cycle, ...).
+/// read_canonical_model then write_canonical is byte-identity.
 [[nodiscard]] ModelDesc read_canonical_model(CanonicalReader& in);
 
 }  // namespace dpipe

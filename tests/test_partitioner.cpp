@@ -179,21 +179,38 @@ TEST(Partitioner, StageCostSelfConditioningExpectation) {
 // --- Bidirectional (CDM) ---------------------------------------------------
 
 TEST(Bidirectional, MatchesBruteForce) {
-  for (const unsigned seed : {31u, 32u, 33u}) {
-    ModelDesc m = make_synthetic_model(6, 0, seed);
-    ModelDesc other = make_synthetic_model(6, 0, seed + 100);
-    other.components[0].name = "backbone_up";
-    m.components.push_back(other.components[0]);
-    m.backbone_ids = {0, 1};
-    const Fixture f(std::move(m));
-    const DpPartitioner dp(f.db, f.comm);
-    const PartitionOptions opts = basic_options(2, 4, 4);
-    const BiPartitionResult got = partition_bidirectional(dp, 0, 1, opts);
-    const BiPartitionResult want =
-        brute_force_bidirectional(dp, 0, 1, opts);
-    EXPECT_NEAR(got.upper_bound_ms, want.upper_bound_ms,
-                1e-9 * want.upper_bound_ms)
-        << "seed " << seed;
+  // Unequal backbones make a swapped down/up index in the DP's dense
+  // tables land on the wrong stage (or outside the table) instead of
+  // coinciding with the right one.
+  struct Case {
+    int down_layers, up_layers, stages, replicas;
+  };
+  for (const Case c : {Case{6, 6, 2, 2}, Case{5, 7, 2, 2}, Case{7, 5, 2, 2},
+                       Case{5, 7, 3, 1}}) {
+    for (const unsigned seed : {31u, 32u, 33u}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "Ld=" << c.down_layers << " Lu=" << c.up_layers
+                   << " S=" << c.stages << " r=" << c.replicas
+                   << " seed=" << seed);
+      ModelDesc m = make_synthetic_model(c.down_layers, 0, seed);
+      ModelDesc other = make_synthetic_model(c.up_layers, 0, seed + 100);
+      other.components[0].name = "backbone_up";
+      m.components.push_back(other.components[0]);
+      m.backbone_ids = {0, 1};
+      const Fixture f(std::move(m));
+      const DpPartitioner dp(f.db, f.comm);
+      const PartitionOptions opts =
+          basic_options(c.stages, 4, c.stages * c.replicas);
+      const BiPartitionResult got = partition_bidirectional(dp, 0, 1, opts);
+      const BiPartitionResult want =
+          brute_force_bidirectional(dp, 0, 1, opts);
+      EXPECT_NEAR(got.upper_bound_ms, want.upper_bound_ms,
+                  1e-9 * want.upper_bound_ms);
+      ASSERT_EQ(got.down_stages.size(), static_cast<std::size_t>(c.stages));
+      ASSERT_EQ(got.up_stages.size(), static_cast<std::size_t>(c.stages));
+      EXPECT_EQ(got.down_stages.back().layer_end, c.down_layers);
+      EXPECT_EQ(got.up_stages.back().layer_end, c.up_layers);
+    }
   }
 }
 

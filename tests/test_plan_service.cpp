@@ -17,6 +17,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -300,15 +301,34 @@ TEST(PlanFingerprint, HostileNumbersFailWithInvalidArgument) {
   const std::string text = canonical_request_text(small_request());
   ASSERT_NO_THROW((void)parse_request_text(text));
   // One key per reader: model layer, model header, cluster, request
-  // options, candidate lists, profiler.
+  // options, candidate lists, profiler; and every layer number the cost
+  // model reads.
   for (const std::string key :
-       {" fwd=", " act=", "self_conditioning ", "intra ", "global_batch=",
-        " int_micro=", "micro_candidates 2 ", "noise ", "repeats "}) {
+       {" fwd=", " act=", " ovf=", " ovb=", " eff=", "self_conditioning ",
+        "intra ", "global_batch=", " int_micro=", "micro_candidates 2 ",
+        "noise ", "repeats "}) {
     for (const std::string& mutant : hostile_numbers(text, key)) {
       SCOPED_TRACE(key);
       EXPECT_THROW((void)parse_request_text(mutant), std::invalid_argument);
     }
   }
+  // Well-formed numbers no layer may hold: "nan" and "inf" parse as
+  // doubles, so the model's own checks must reject them, and a negative
+  // overhead or efficiency too.
+  for (const std::string key :
+       {" fwd=", " bwdf=", " param=", " grad=", " out=", " act=", " ovf=",
+        " ovb=", " eff="}) {
+    for (const std::string value : {"nan", "inf", "-inf", "-1"}) {
+      if (key == " grad=" && value == "-1") {
+        continue;  // A negative grad_mb means "same as param_mb".
+      }
+      SCOPED_TRACE(key + value);
+      EXPECT_THROW((void)parse_request_text(with_value(text, key, value)),
+                   std::invalid_argument);
+    }
+  }
+  // Efficiency 0 is the layer kind's default, not an error.
+  EXPECT_NO_THROW((void)parse_request_text(with_value(text, " eff=", "0")));
   // Well-formed numbers out of their field's range: a schedule family past
   // the last one, and a device count whose product overflows int.
   EXPECT_THROW((void)parse_request_text(with_value(text, " family=", "4")),
@@ -738,6 +758,27 @@ TEST(PlanService, ColdPlansMatchAStandalonePlanner) {
   }
   EXPECT_GT(hits, 0u);
   EXPECT_EQ(service.stats().planner_runs, 2u);
+}
+
+TEST(PlanService, NonFiniteModelNumbersFailWithInvalidArgument) {
+  // A request built in code never passes the text reader: the planner's
+  // model check must reject it before anything is planned or cached.
+  PlanService service;
+  for (const double bad :
+       {std::nan(""), std::numeric_limits<double>::infinity(), -1.0}) {
+    SCOPED_TRACE(bad);
+    PlanRequest request = small_request();
+    LayerDesc& layer =
+        request.model.components[request.model.backbone_ids[0]].layers[0];
+    layer.overhead_fwd_ms = bad;
+    EXPECT_THROW((void)service.plan(request), std::invalid_argument);
+    layer.overhead_fwd_ms = 0.1;
+    layer.efficiency = bad;
+    EXPECT_THROW((void)service.plan(request), std::invalid_argument);
+  }
+  const PlanService::Stats stats = service.stats();
+  EXPECT_EQ(stats.planner_runs, 0u);
+  EXPECT_EQ(stats.cache.entries, 0u);
 }
 
 TEST(PlanService, WarmRestartServesFromDiskWithoutPlanning) {

@@ -425,12 +425,19 @@ TEST(StageCostCache, BidirectionalWithCacheIsBitIdentical) {
   EXPECT_EQ(plain.upper_bound_ms, cached.upper_bound_ms);
   expect_stages_identical(plain.down_stages, cached.down_stages);
   expect_stages_identical(plain.up_stages, cached.up_stages);
+  // The DP holds each stage cost it has asked for, so it costs every
+  // distinct (direction, lo, hi, chain_begin) once and never re-asks; the
+  // builder's later lookups of the chosen stages are what hit.
+  EXPECT_EQ(cache.hits(), 0u);
+  EXPECT_EQ(cache.misses(), cache.size());
+  const ScheduleBuilder builder(db, comm);
+  (void)builder.build_bidirectional(b0, cached.down_stages, b1,
+                                    cached.up_stages, opts, &cache);
   EXPECT_GT(cache.hits(), 0u);
 
   // The no-cache reference over the planner's whole default CDM grid: the
   // co-partition and the bidirectional schedule built on it are
   // bit-identical with a fresh cache and with none.
-  const ScheduleBuilder builder(db, comm);
   const std::vector<PartitionOptions> grid = default_grid(model, cluster);
   EXPECT_GE(grid.size(), 20u);
   for (const PartitionOptions& combo : grid) {
