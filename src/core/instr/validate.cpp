@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <set>
 #include <tuple>
 
 #include "common/canonical.h"
@@ -490,60 +491,29 @@ ValidationReport ProgramValidator::validate_runtime_bindable(
     note(report, -1, "runtime binding requires a single backbone");
     return report;
   }
-  // Cover-and-fencing contract (replaces the historical stage↔device
-  // bijection): every stage is owned by exactly one device, but a device
-  // may own several virtual stages (the interleaved placement). Per owned
-  // stage the backward micro order must equal the forward micro order
-  // (FIFO autograd stashes), and because the runtime's channels are
-  // untagged FIFOs, each pipeline boundary's send micro order must equal
-  // the receiver's recv micro order.
+  // Every stage is owned by exactly one device, and every device owns at
+  // least one stage (several, in any placement, is fine). Per owned stage
+  // the backward micro order must equal the forward micro order: the
+  // runtime's autograd stashes are FIFO.
   const int D = program.group_size;
-  std::map<int, int> owner;  ///< stage -> owning device.
-  std::vector<std::vector<int>> owned(D);  ///< dev -> stages, stream order.
-  // Per (dev, stage) micro sequences in stream order.
-  std::map<std::pair<int, int>, std::vector<int>> fwd_order;
-  std::map<std::pair<int, int>, std::vector<int>> bwd_order;
-  std::map<std::pair<int, int>, std::vector<int>> send_act_order;
-  std::map<std::pair<int, int>, std::vector<int>> recv_act_order;
-  std::map<std::pair<int, int>, std::vector<int>> send_grad_order;
-  std::map<std::pair<int, int>, std::vector<int>> recv_grad_order;
-  int num_stages = 0;
+  std::set<int> owned;  ///< Stages owned by the devices seen so far.
   for (int dev = 0; dev < D; ++dev) {
+    std::map<int, std::vector<int>> fwd_order;  ///< stage -> micros.
+    std::map<int, std::vector<int>> bwd_order;
     for (const Instruction& i : program.per_device[dev]) {
-      switch (i.kind) {
-        case InstrKind::kForward:
-          if (fwd_order.find({dev, i.stage}) == fwd_order.end()) {
-            owned[dev].push_back(i.stage);
-          }
-          fwd_order[{dev, i.stage}].push_back(i.micro);
-          num_stages = std::max(num_stages, i.stage + 1);
-          break;
-        case InstrKind::kBackward:
-          bwd_order[{dev, i.stage}].push_back(i.micro);
-          break;
-        case InstrKind::kSendActivation:
-          send_act_order[{dev, i.stage}].push_back(i.micro);
-          break;
-        case InstrKind::kRecvActivation:
-          recv_act_order[{dev, i.stage}].push_back(i.micro);
-          break;
-        case InstrKind::kSendGradient:
-          send_grad_order[{dev, i.stage}].push_back(i.micro);
-          break;
-        case InstrKind::kRecvGradient:
-          recv_grad_order[{dev, i.stage}].push_back(i.micro);
-          break;
-        default:
-          break;
+      if (i.kind == InstrKind::kForward) {
+        fwd_order[i.stage].push_back(i.micro);
+      } else if (i.kind == InstrKind::kBackward) {
+        bwd_order[i.stage].push_back(i.micro);
       }
     }
-    if (owned[dev].empty()) {
+    if (fwd_order.empty()) {
       note(report, dev, "device hosts no stage; runtime binding needs "
                         "every device to own at least one stage");
       continue;
     }
-    for (const int stage : owned[dev]) {
-      if (owner.count(stage) > 0) {
+    for (const auto& [stage, micros] : fwd_order) {
+      if (!owned.insert(stage).second) {
         note(report, dev, "stage " + std::to_string(stage) +
                               " is owned by more than one device "
                               "(replicated stages are not bindable); "
@@ -551,71 +521,13 @@ ValidationReport ProgramValidator::validate_runtime_bindable(
                               "exactly once");
         continue;
       }
-      owner[stage] = dev;
-      if (fwd_order[{dev, stage}] != bwd_order[{dev, stage}]) {
+      if (micros != bwd_order[stage]) {
         note(report, dev,
              "stage " + std::to_string(stage) +
                  ": backward micro order differs from forward micro order; "
                  "the runtime's FIFO autograd stashes require FIFO "
                  "schedules (1F1B)");
       }
-    }
-  }
-  if (!report.ok()) {
-    return report;
-  }
-  // Multi-stage devices must follow the round-robin virtual-stage
-  // placement: V = num_stages / D full rounds, device d owning stages
-  // {d, d + D, ...} in that (slot) order. Single-stage-per-device programs
-  // keep the historical freedom of an arbitrary bijection.
-  bool multi = false;
-  for (int dev = 0; dev < D; ++dev) {
-    multi = multi || owned[dev].size() > 1;
-  }
-  if (multi) {
-    if (num_stages % D != 0) {
-      note(report, -1,
-           "interleaved binding requires num_stages to be a multiple of "
-           "group_size");
-      return report;
-    }
-    const int V = num_stages / D;
-    for (int dev = 0; dev < D; ++dev) {
-      bool round_robin = static_cast<int>(owned[dev].size()) == V;
-      for (int slot = 0; round_robin && slot < V; ++slot) {
-        round_robin = owned[dev][slot] == dev + slot * D;
-      }
-      if (!round_robin) {
-        note(report, dev,
-             "out-of-round-robin virtual-stage placement: device " +
-                 std::to_string(dev) + " must own stages d, d+D, ... in "
-                 "slot order");
-      }
-    }
-    if (!report.ok()) {
-      return report;
-    }
-  }
-  // Channel-FIFO pairing: per boundary, the sender pushes and the receiver
-  // pops the same micro sequence (untagged FIFO channels deliver tensors
-  // in push order, so any reordering would hand micro m another micro's
-  // tensor).
-  for (int s = 0; s + 1 < num_stages; ++s) {
-    const int src = owner.at(s);
-    const int dst = owner.at(s + 1);
-    if (send_act_order[{src, s}] != recv_act_order[{dst, s + 1}]) {
-      note(report, dst,
-           "activation channel order mismatch at boundary " +
-               std::to_string(s) + "->" + std::to_string(s + 1) +
-               ": the receiver pops micros in a different order than the "
-               "sender pushes them");
-    }
-    if (send_grad_order[{dst, s + 1}] != recv_grad_order[{src, s}]) {
-      note(report, src,
-           "gradient channel order mismatch at boundary " +
-               std::to_string(s + 1) + "->" + std::to_string(s) +
-               ": the receiver pops micros in a different order than the "
-               "sender pushes them");
     }
   }
   return report;
@@ -657,8 +569,8 @@ std::string op_signature(const Instruction& instr) {
   return out.take();
 }
 
-std::vector<std::vector<std::string>> occupancy_trace(
-    const InstructionProgram& program, int iterations) {
+ExecutionLog occupancy_trace(const InstructionProgram& program,
+                             int iterations) {
   DPIPE_REQUIRE(iterations >= 1, "need at least one iteration");
   const auto occupies = [](InstrKind kind) {
     return kind == InstrKind::kLoadMicroBatch ||
@@ -666,7 +578,7 @@ std::vector<std::vector<std::string>> occupancy_trace(
            kind == InstrKind::kFrozenForward ||
            kind == InstrKind::kOptimizerStep;
   };
-  std::vector<std::vector<std::string>> trace(program.per_device.size());
+  ExecutionLog trace(program.per_device.size());
   for (std::size_t dev = 0; dev < program.per_device.size(); ++dev) {
     for (const Instruction& i : program.preamble[dev]) {
       trace[dev].push_back(op_signature(i));

@@ -53,17 +53,16 @@ class ProgramValidator {
   [[nodiscard]] ValidationReport validate(
       const InstructionProgram& program) const;
 
-  /// validate() plus the stricter cover-and-fencing contract the
-  /// functional runtime's interpreter needs to bind a program onto one
-  /// rt::Sequential: a single backbone; every stage owned by exactly one
-  /// device (a device may own several virtual stages — then the ownership
-  /// must be the round-robin interleaved placement, stage s on device
-  /// s % group_size, owned in ascending slot order); FIFO micro order per
-  /// owned stage (backward micro order equals forward micro order —
-  /// required by the runtime's FIFO autograd stashes; 1F1B satisfies this,
-  /// GPipe's LIFO order does not); and per-boundary channel-FIFO pairing
-  /// (each boundary's send micro order equals the receiver's recv micro
-  /// order — the runtime's untagged FIFO channels deliver in push order).
+  /// validate() plus the stricter contract the functional runtime's
+  /// interpreter needs to bind a program onto one rt::Sequential: a single
+  /// backbone; every stage owned by exactly one device (replicated stages
+  /// are not bindable); every device owning at least one stage (a device
+  /// may own several, in any placement); and FIFO micro order per owned
+  /// stage (backward micro order equals forward micro order — required by
+  /// the runtime's FIFO autograd stashes; 1F1B satisfies this, GPipe's LIFO
+  /// order does not). Transfers need no order of their own: the
+  /// interpreter pairs each receive with its send by (direction, stage
+  /// boundary, micro).
   [[nodiscard]] ValidationReport validate_runtime_bindable(
       const InstructionProgram& program) const;
 };
@@ -76,12 +75,16 @@ void require_valid_program(const InstructionProgram& program);
 /// "frozen c1 l0:1", "opt b0 s1". Stable across back-ends.
 [[nodiscard]] std::string op_signature(const Instruction& instr);
 
-/// Expected per-device execution order of *device-occupying* ops (load,
-/// forward, backward, frozen, optimizer — communication excluded) over
-/// `iterations` replays of the program, preamble first. Both back-ends must
-/// execute in exactly this order; the cross-backend parity tests compare
-/// their logs against it.
-[[nodiscard]] std::vector<std::vector<std::string>> occupancy_trace(
-    const InstructionProgram& program, int iterations);
+/// Per-device record of executed *device-occupying* ops (load, forward,
+/// backward, frozen, optimizer — communication excluded), as op_signature()
+/// strings in execution order: the cross-backend parity artifact.
+using ExecutionLog = std::vector<std::vector<std::string>>;
+
+/// Expected ExecutionLog of `iterations` replays of the program, preamble
+/// first. Both back-ends must execute in exactly this order: the runtime's
+/// PipelineTrainer::execution_log() and the engine's
+/// EngineResult::execution_log are compared against it.
+[[nodiscard]] ExecutionLog occupancy_trace(const InstructionProgram& program,
+                                           int iterations);
 
 }  // namespace dpipe

@@ -177,6 +177,7 @@ EngineResult ExecutionEngine::run(const InstructionProgram& program,
   std::vector<std::size_t> head(D, 0);
   std::vector<DeviceTimeline> result_timelines(
       opts.record_timelines ? D : 0);
+  ExecutionLog execution_log(opts.record_timelines ? D : 0);
   std::map<ChannelKey, double> sends;  ///< Key -> sender enqueue time.
   std::vector<std::vector<std::vector<Span>>> busy(
       D, std::vector<std::vector<Span>>(R));
@@ -300,6 +301,9 @@ EngineResult ExecutionEngine::run(const InstructionProgram& program,
         }
         const double end = start + duration;
         clock[dev] = std::max(clock[dev], end);
+        if (opts.record_timelines && occupies_device) {
+          execution_log[dev].push_back(op_signature(i));
+        }
         if (occupies_device && duration > 0.0) {
           busy[dev][k].push_back({start, end});
           if (opts.record_timelines) {
@@ -460,6 +464,7 @@ EngineResult ExecutionEngine::run(const InstructionProgram& program,
   if (opts.record_timelines) {
     result.timelines.group_size = D;
     result.timelines.devices = std::move(result_timelines);
+    result.execution_log = std::move(execution_log);
     result.timelines.makespan_ms = round_end.back();
     result.timelines.compute_makespan_ms = round_end.back();
     // Resolved collectives as link ops (duration known once all issued).

@@ -4,6 +4,7 @@
 
 #include "cluster/comm_model.h"
 #include "core/instr/instructions.h"
+#include "core/instr/validate.h"
 #include "fault/fault.h"
 #include "profiler/cost_model.h"
 #include "profiler/profile_db.h"
@@ -22,14 +23,15 @@ struct EngineOptions {
   double noise_amplitude = 0.02;
   double load_ms = 0.05;  ///< Fixed micro-batch load cost.
   /// Self-conditioning realism: instead of the planner's expected-value
-  /// model (every forward costs (1+p)x), sample the Bernoulli(p) coin per
-  /// iteration — active iterations run 2x forwards, inactive 1x. Off by
-  /// default so measured time is directly comparable to the plan.
+  /// model (every forward costs (1+p)x, p = ModelDesc::self_cond_prob),
+  /// sample the Bernoulli(p) coin per iteration — active iterations run 2x
+  /// forwards, inactive 1x. Off by default so measured time is directly
+  /// comparable to the plan.
   bool sample_self_conditioning = false;
-  double self_cond_prob = 0.5;
   /// Record per-device measured op timelines (EngineResult::timelines) —
   /// a measured counterpart to the planner's Schedule, exportable with
-  /// write_chrome_trace for side-by-side inspection.
+  /// write_chrome_trace for side-by-side inspection — and the executed op
+  /// order (EngineResult::execution_log).
   bool record_timelines = false;
   /// Fault scenario to inject (stragglers, link faults, device crashes).
   /// An empty plan leaves the fault-free path bit-identical to a run
@@ -54,6 +56,11 @@ struct EngineResult {
   /// unless EngineOptions::record_timelines). Packaged as a Schedule so
   /// extract_bubbles / write_chrome_trace apply directly.
   Schedule timelines;
+  /// op_signature() of every device-occupying op in the order each device
+  /// executed it, whatever its duration (empty unless
+  /// EngineOptions::record_timelines): the engine's side of the
+  /// cross-backend parity check against occupancy_trace().
+  ExecutionLog execution_log;
   /// Per-fault accounting (all zero when EngineOptions::faults is empty).
   fault::FaultStats fault_stats;
 };

@@ -80,39 +80,20 @@ ProgramBinding::ProgramBinding(const InstructionProgram& program,
   DPIPE_REQUIRE(opts.rows_per_replica >= 1,
                 "rows_per_replica must be positive");
 
-  // Stage ownership cover (each stage owned by exactly one device —
-  // guaranteed by validate_runtime_bindable). A device's owned stages are
-  // recorded in stream (slot) order; per-stage planner layer ranges come
-  // from the first forward op of each stage.
-  const int devices = program_.group_size;
-  stages_of_device_.assign(devices, {});
+  // Per-stage planner layer ranges come from the first forward op of each
+  // stage (validate_runtime_bindable guarantees each stage one owner).
   std::map<int, std::pair<int, int>> stage_layers;  // stage -> [begin, end)
-  for (int dev = 0; dev < devices; ++dev) {
-    for (const Instruction& instr : program_.per_device[dev]) {
+  for (const std::vector<Instruction>& stream : program_.per_device) {
+    for (const Instruction& instr : stream) {
       if (instr.kind != InstrKind::kForward) {
         continue;
       }
-      if (stage_layers
-              .emplace(instr.stage,
-                       std::make_pair(instr.layer_begin, instr.layer_end))
-              .second) {
-        stages_of_device_[dev].push_back(instr.stage);
-      }
+      stage_layers.emplace(instr.stage,
+                           std::make_pair(instr.layer_begin, instr.layer_end));
       num_micros_ = std::max(num_micros_, instr.micro + 1);
     }
-    DPIPE_ENSURE(!stages_of_device_[dev].empty(),
-                 "device hosts no backbone stage");
   }
   num_stages_ = static_cast<int>(stage_layers.size());
-  device_of_stage_.assign(num_stages_, -1);
-  slot_of_stage_.assign(num_stages_, 0);
-  for (int dev = 0; dev < devices; ++dev) {
-    for (std::size_t slot = 0; slot < stages_of_device_[dev].size(); ++slot) {
-      const int s = stages_of_device_[dev][slot];
-      device_of_stage_[s] = dev;
-      slot_of_stage_[s] = static_cast<int>(slot);
-    }
-  }
 
   // Map planner layer cuts onto runtime module indices. Proportional and
   // monotone (each stage keeps at least one module); the identity mapping
@@ -258,7 +239,8 @@ ProgramInterpreter::WaveOrder ProgramInterpreter::build_order(
       b.program().per_device;
 
   // One replica's ops, each waiting on the previous kept op of its device
-  // and, for a receive, on its FIFO-paired send.
+  // and, for a receive, on its send: the one send of the same direction,
+  // stage boundary and micro-batch.
   struct Op {
     InstrKind kind = InstrKind::kForward;
     int device = 0;

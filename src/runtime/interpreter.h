@@ -3,10 +3,10 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "core/instr/instructions.h"
+#include "core/instr/validate.h"
 #include "runtime/channel.h"
 #include "runtime/ddpm.h"
 #include "runtime/optim.h"
@@ -36,24 +36,18 @@ struct RowRange {
   [[nodiscard]] int rows() const { return end - begin; }
 };
 
-/// Per-device execution record: op_signature() strings of device-occupying
-/// ops (load/forward/backward/frozen/optimizer) in the order the real
-/// runtime executed them. Directly comparable to occupancy_trace() and to
-/// the engine's measured timelines — the cross-backend parity artifact.
-using ExecutionLog = std::vector<std::vector<std::string>>;
-
 /// Binds a validated InstructionProgram onto the functional runtime: maps
 /// `Instruction.component`/`layer_begin..end` onto rt::Sequential module
-/// slices, devices onto their owned (virtual) stages, and frozen-forward
-/// placements onto integer row ranges of the replica's batch shard.
+/// slices, stages onto module ranges, and frozen-forward placements onto
+/// integer row ranges of the replica's batch shard. Which device owns a
+/// stage does not matter to the binding: the interpreter runs each
+/// device's stream as written and keys tensors by stage.
 ///
 /// Requires ProgramValidator::validate_runtime_bindable to pass (single
-/// backbone; every stage owned by exactly one device — a device may own
-/// several virtual stages under the round-robin interleaved placement;
-/// FIFO micro order per owned stage; per-boundary channel-FIFO pairing);
-/// throws std::invalid_argument carrying the report otherwise.
-/// num_stages() counts *virtual* stages: with V stages per device it is
-/// V * group_size.
+/// backbone; every stage owned by exactly one device and every device
+/// owning one or more; FIFO micro order per owned stage); throws
+/// std::invalid_argument carrying the report otherwise. num_stages()
+/// counts *virtual* stages: with V stages per device it is V * group_size.
 ///
 /// Planner layers need not be 1:1 with runtime modules: stage layer cuts
 /// are mapped proportionally onto module indices (monotone, at least one
@@ -75,18 +69,6 @@ class ProgramBinding {
   [[nodiscard]] int num_stages() const { return num_stages_; }
   [[nodiscard]] int num_micros() const { return num_micros_; }
   [[nodiscard]] int rows_per_replica() const { return rows_per_replica_; }
-  /// The stages device `dev` owns, in slot (stream) order. Length 1 for
-  /// one-stage-per-device programs, V for interleaved ones.
-  [[nodiscard]] const std::vector<int>& stages_of_device(int dev) const {
-    return stages_of_device_[dev];
-  }
-  [[nodiscard]] int device_of_stage(int stage) const {
-    return device_of_stage_[stage];
-  }
-  /// Index of `stage` within its owning device's ordered stage list.
-  [[nodiscard]] int slot_of_stage(int stage) const {
-    return slot_of_stage_[stage];
-  }
   /// Module range [begin, end) of `stage` within the bound Sequential.
   [[nodiscard]] int module_begin(int stage) const {
     return module_cut_[stage];
@@ -122,9 +104,6 @@ class ProgramBinding {
   int num_stages_ = 0;
   int num_micros_ = 0;
   int rows_per_replica_ = 0;
-  std::vector<std::vector<int>> stages_of_device_;
-  std::vector<int> device_of_stage_;
-  std::vector<int> slot_of_stage_;
   std::vector<int> module_cut_;  ///< Length num_stages + 1.
   std::vector<std::vector<FrozenSlot>> steady_frozen_;
   std::vector<std::vector<FrozenSlot>> preamble_frozen_;
@@ -134,8 +113,8 @@ class ProgramBinding {
 /// construction it compiles the program's steady streams into one static
 /// wave order (the MPMD lowering of JaxPP, arXiv 2412.14374): every
 /// instruction of every device and replica becomes a node that waits on
-/// the previous op of its device, a receive also on its FIFO-paired send
-/// (keyed by stage boundary and micro-batch), and each stage's
+/// the previous op of its device, a receive also on its send (paired by
+/// direction, stage boundary and micro-batch), and each stage's
 /// kAllReduceGrads is one node shared by all replicas, which waits on
 /// every replica's preceding op. An ASAP list simulation (forward costs
 /// 1x, backward 2x the stage's forward FLOPs, other ops 0) sorts the nodes

@@ -180,11 +180,6 @@ class PipelineTrainer {
   /// Parameters of replica 0 (all replicas stay identical).
   [[nodiscard]] std::vector<Tensor> snapshot_params() const;
   [[nodiscard]] const std::vector<double>& losses() const { return losses_; }
-  /// Allocation-recycling stats of the process-wide TensorPool the trainer
-  /// runs on (allocs avoided, peak bytes; see runtime/pool.h).
-  [[nodiscard]] TensorPool::Stats pool_stats() const {
-    return TensorPool::global().stats();
-  }
   /// Largest max-abs parameter divergence observed between replicas after
   /// any optimizer step (should be exactly 0).
   [[nodiscard]] float replica_divergence() const {
@@ -196,7 +191,7 @@ class PipelineTrainer {
     return binding_->program();
   }
   /// The program's binding onto the runtime model (stage->module cover,
-  /// device<->stage maps) — the geometry checkpoints are sharded by.
+  /// frozen row slots) — the geometry checkpoints are sharded by.
   [[nodiscard]] const ProgramBinding& binding() const { return *binding_; }
   /// The logical clock: completed iterations (== next iteration index).
   [[nodiscard]] int iteration() const { return iteration_; }

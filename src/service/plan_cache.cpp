@@ -110,22 +110,6 @@ std::size_t PlanCache::invalidate_cluster(const Fingerprint& cluster_fp) {
   return removed;
 }
 
-std::size_t PlanCache::invalidate(const Fingerprint& fingerprint) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  std::size_t removed = 0;
-  for (auto it = slots_.begin(); it != slots_.end();) {
-    if (it->second->ready && it->second->value != nullptr &&
-        it->second->value->fingerprint == fingerprint) {
-      it = slots_.erase(it);
-      ++removed;
-    } else {
-      ++it;
-    }
-  }
-  stats_.invalidated += removed;
-  return removed;
-}
-
 void PlanCache::clear() {
   const std::lock_guard<std::mutex> lock(mutex_);
   for (auto it = slots_.begin(); it != slots_.end();) {

@@ -77,9 +77,6 @@ class PlanCache {
   /// against the topology they carry). Returns the number evicted.
   std::size_t invalidate_cluster(const Fingerprint& cluster_fp);
 
-  /// Evicts the ready entry with this request fingerprint, if any.
-  std::size_t invalidate(const Fingerprint& fingerprint);
-
   void clear();
 
   [[nodiscard]] Stats stats() const;

@@ -221,7 +221,6 @@ TEST(Engine, SampledSelfConditioningVariesPerIteration) {
   eopts.iterations = 10;
   eopts.group_batch = 64.0;
   eopts.sample_self_conditioning = true;
-  eopts.self_cond_prob = 0.5;
   const EngineResult result = engine.run(p.program, eopts);
   // Active iterations pay a full extra forward pass: durations must split
   // into two visibly separated groups.

@@ -114,38 +114,49 @@ float params_diff(const std::vector<rt::Tensor>& a,
   return worst;
 }
 
-/// op_signature of an engine timeline op (trainer-lowered programs carry
-/// single-layer frozen placements only).
-std::string timeline_signature(const PipelineOp& op) {
-  Instruction instr;
-  switch (op.kind) {
-    case OpKind::kLoad:
-      instr.kind = InstrKind::kLoadMicroBatch;
-      break;
-    case OpKind::kForward:
-      instr.kind = InstrKind::kForward;
-      break;
-    case OpKind::kBackward:
-      instr.kind = InstrKind::kBackward;
-      break;
-    case OpKind::kFrozenForward:
-    case OpKind::kFrozenForwardPartial:
-    case OpKind::kLeftoverForward:
-      instr.kind = InstrKind::kFrozenForward;
-      break;
-    case OpKind::kOptimizer:
-      instr.kind = InstrKind::kOptimizerStep;
-      break;
-    case OpKind::kGradSync:
-      return {};
+/// Trains `a` and `b` for 8 iterations on the same problem and config
+/// (2 replicas, cross-iteration), once with SGD and once with Adam, and
+/// expects bit-identical losses and parameters.
+void expect_same_trajectory(const rt::DdpmProblem& problem,
+                            const InstructionProgram& a,
+                            const InstructionProgram& b, int global_batch) {
+  for (const bool adam : {false, true}) {
+    rt::PipelineRtConfig cfg;
+    cfg.data_parallel_degree = 2;
+    cfg.global_batch = global_batch;
+    cfg.cross_iteration = true;
+    cfg.use_adam = adam;
+    cfg.lr = 0.01f;
+    rt::PipelineTrainer ta(problem, cfg, a);
+    rt::PipelineTrainer tb(problem, cfg, b);
+    ta.train(8);
+    tb.train(8);
+    EXPECT_FLOAT_EQ(
+        params_diff(ta.snapshot_params(), tb.snapshot_params()), 0.0f)
+        << "adam=" << adam;
+    ASSERT_EQ(ta.losses().size(), tb.losses().size());
+    for (std::size_t i = 0; i < ta.losses().size(); ++i) {
+      EXPECT_DOUBLE_EQ(ta.losses()[i], tb.losses()[i]) << "adam=" << adam;
+    }
   }
-  instr.backbone = op.backbone;
-  instr.stage = op.stage;
-  instr.micro = op.micro;
-  instr.component = op.component;
-  instr.layer_begin = op.layer;
-  instr.layer_end = op.layer + 1;
-  return op_signature(instr);
+}
+
+/// The engine's execution log of `iterations` replays of `program`, costed
+/// against `model` on one p4de machine.
+ExecutionLog engine_log(const ModelDesc& model,
+                        const InstructionProgram& program, int iterations,
+                        double group_batch, int dp) {
+  const ClusterSpec cluster = make_p4de_cluster(1);
+  const CommModel comm(cluster);
+  const ProfileDb db(model,
+                     AnalyticCostModel(cluster.device, NoiseSource(1, 0.0)),
+                     default_batch_grid());
+  EngineOptions eopts;
+  eopts.iterations = iterations;
+  eopts.group_batch = group_batch;
+  eopts.data_parallel_degree = dp;
+  eopts.record_timelines = true;
+  return ExecutionEngine(db, comm).run(program, eopts).execution_log;
 }
 
 TEST(Interleaved, ValidatorAcceptsAcrossGrid) {
@@ -219,19 +230,21 @@ TEST(Interleaved, RejectsStageOwnedTwice) {
       << rep.to_string();
 }
 
-TEST(Interleaved, RejectsOutOfRoundRobinPlacement) {
+TEST(Interleaved, AnyDevicePlacementTrainsBitIdentically) {
   const ProgramValidator validator;
   const ModelDesc model = make_stable_diffusion_v21();
-  InstructionProgram program = lowered_interleaved(model, 2, 2, 4, 64.0, 2);
-  ASSERT_TRUE(validator.validate_runtime_bindable(program).ok());
+  const InstructionProgram round_robin =
+      lowered_interleaved(model, 2, 2, 4, 64.0, 2);
+  ASSERT_TRUE(validator.validate_runtime_bindable(round_robin).ok());
 
   // Swap the two device streams (remapping peers consistently): device 0
-  // now owns stages {1, 3}, device 1 owns {0, 2}. Still a well-formed
-  // program — every stage hosted once, sends and recvs pair up — but the
-  // placement is no longer stage s on device s % D.
-  std::swap(program.per_device[0], program.per_device[1]);
-  std::swap(program.preamble[0], program.preamble[1]);
-  for (std::vector<Instruction>& stream : program.per_device) {
+  // now owns stages {1, 3}, device 1 owns {0, 2}, so stage s no longer
+  // lives on device s % D. The interpreter keys tensors by stage and runs
+  // each stream as written, so the placement must not change a bit.
+  InstructionProgram swapped = round_robin;
+  std::swap(swapped.per_device[0], swapped.per_device[1]);
+  std::swap(swapped.preamble[0], swapped.preamble[1]);
+  for (std::vector<Instruction>& stream : swapped.per_device) {
     for (Instruction& instr : stream) {
       if (instr.kind == InstrKind::kSendActivation ||
           instr.kind == InstrKind::kRecvActivation ||
@@ -241,11 +254,12 @@ TEST(Interleaved, RejectsOutOfRoundRobinPlacement) {
       }
     }
   }
-  EXPECT_TRUE(validator.validate(program).ok());
-  const ValidationReport rep = validator.validate_runtime_bindable(program);
-  EXPECT_FALSE(rep.ok());
-  EXPECT_NE(rep.to_string().find("out-of-round-robin"), std::string::npos)
-      << rep.to_string();
+  const ValidationReport rep = validator.validate_runtime_bindable(swapped);
+  ASSERT_TRUE(rep.ok()) << rep.to_string();
+  expect_same_trajectory(rt::DdpmProblem(rt::DdpmConfig{}), round_robin,
+                         swapped, 128);
+  EXPECT_EQ(engine_log(model, swapped, 3, 64.0, 2),
+            occupancy_trace(swapped, 3));
 }
 
 TEST(Interleaved, RejectsDanglingRecvAcrossVirtualStages) {
@@ -282,37 +296,18 @@ TEST(Interleaved, V1TrajectoryBitIdenticalToPlain1F1B) {
   // must keep every V=1 trajectory bit-identical to the historical
   // stage-per-device execution, for both optimizers.
   const rt::DdpmProblem problem(rt::DdpmConfig{});
-  for (const bool adam : {false, true}) {
-    rt::TrainerLoweringSpec spec;
-    spec.num_stages = 4;
-    spec.num_microbatches = 4;
-    spec.data_parallel_degree = 2;
-    spec.global_batch = 16;
-    spec.cross_iteration = true;
-    spec.num_modules = static_cast<int>(problem.make_backbone()->size());
-    const rt::TrainerLowering plain = rt::lower_trainer_program(spec);
-    spec.family = ScheduleFamily::kInterleaved;
-    spec.vstages = 1;
-    const rt::TrainerLowering inter = rt::lower_trainer_program(spec);
-
-    rt::PipelineRtConfig cfg;
-    cfg.data_parallel_degree = 2;
-    cfg.global_batch = 16;
-    cfg.cross_iteration = true;
-    cfg.use_adam = adam;
-    cfg.lr = 0.01f;
-    rt::PipelineTrainer a(problem, cfg, plain.program);
-    rt::PipelineTrainer b(problem, cfg, inter.program);
-    a.train(8);
-    b.train(8);
-    EXPECT_FLOAT_EQ(
-        params_diff(a.snapshot_params(), b.snapshot_params()), 0.0f)
-        << "adam=" << adam;
-    ASSERT_EQ(a.losses().size(), b.losses().size());
-    for (std::size_t i = 0; i < a.losses().size(); ++i) {
-      EXPECT_DOUBLE_EQ(a.losses()[i], b.losses()[i]) << "adam=" << adam;
-    }
-  }
+  rt::TrainerLoweringSpec spec;
+  spec.num_stages = 4;
+  spec.num_microbatches = 4;
+  spec.data_parallel_degree = 2;
+  spec.global_batch = 16;
+  spec.cross_iteration = true;
+  spec.num_modules = static_cast<int>(problem.make_backbone()->size());
+  const rt::TrainerLowering plain = rt::lower_trainer_program(spec);
+  spec.family = ScheduleFamily::kInterleaved;
+  spec.vstages = 1;
+  const rt::TrainerLowering inter = rt::lower_trainer_program(spec);
+  expect_same_trajectory(problem, plain.program, inter.program, 16);
 }
 
 TEST(Interleaved, PlacementInvariantTrajectory) {
@@ -321,44 +316,25 @@ TEST(Interleaved, PlacementInvariantTrajectory) {
   // optimizer — is identical, so the trajectory matches the 4-device run
   // bit for bit, for SGD and Adam.
   const rt::DdpmProblem problem(rt::DdpmConfig{});
-  for (const bool adam : {false, true}) {
-    rt::TrainerLoweringSpec spec;
-    spec.num_stages = 4;
-    spec.num_microbatches = 4;
-    spec.data_parallel_degree = 2;
-    spec.global_batch = 16;
-    spec.cross_iteration = true;
-    spec.num_modules = static_cast<int>(problem.make_backbone()->size());
-    const rt::TrainerLowering unfolded = rt::lower_trainer_program(spec);
-    spec.num_stages = 2;
-    spec.family = ScheduleFamily::kInterleaved;
-    spec.vstages = 2;  // 2 devices x 2 virtual stages = the same 4 cuts.
-    const rt::TrainerLowering folded = rt::lower_trainer_program(spec);
-
-    rt::PipelineRtConfig cfg;
-    cfg.data_parallel_degree = 2;
-    cfg.global_batch = 16;
-    cfg.cross_iteration = true;
-    cfg.use_adam = adam;
-    cfg.lr = 0.01f;
-    rt::PipelineTrainer a(problem, cfg, unfolded.program);
-    rt::PipelineTrainer b(problem, cfg, folded.program);
-    a.train(8);
-    b.train(8);
-    EXPECT_FLOAT_EQ(
-        params_diff(a.snapshot_params(), b.snapshot_params()), 0.0f)
-        << "adam=" << adam;
-    ASSERT_EQ(a.losses().size(), b.losses().size());
-    for (std::size_t i = 0; i < a.losses().size(); ++i) {
-      EXPECT_DOUBLE_EQ(a.losses()[i], b.losses()[i]) << "adam=" << adam;
-    }
-  }
+  rt::TrainerLoweringSpec spec;
+  spec.num_stages = 4;
+  spec.num_microbatches = 4;
+  spec.data_parallel_degree = 2;
+  spec.global_batch = 16;
+  spec.cross_iteration = true;
+  spec.num_modules = static_cast<int>(problem.make_backbone()->size());
+  const rt::TrainerLowering unfolded = rt::lower_trainer_program(spec);
+  spec.num_stages = 2;
+  spec.family = ScheduleFamily::kInterleaved;
+  spec.vstages = 2;  // 2 devices x 2 virtual stages = the same 4 cuts.
+  const rt::TrainerLowering folded = rt::lower_trainer_program(spec);
+  expect_same_trajectory(problem, unfolded.program, folded.program, 16);
 }
 
 TEST(Interleaved, ThreeWayOpOrderParity) {
-  // One interleaved program, two backends: the runtime's executed op
-  // order, the engine's measured timelines, and the program's static
-  // occupancy trace agree per device.
+  // One interleaved program, two backends: the runtime's and the engine's
+  // execution logs and the program's static occupancy trace agree per
+  // device.
   const rt::DdpmProblem problem(rt::DdpmConfig{});
   rt::TrainerLoweringSpec spec;
   spec.num_stages = 2;
@@ -387,29 +363,48 @@ TEST(Interleaved, ThreeWayOpOrderParity) {
     EXPECT_EQ(trainer.execution_log()[dev], expected[dev])
         << "runtime, device " << dev;
   }
+  EXPECT_EQ(engine_log(l.model, l.program, iterations, 8.0, 2), expected);
+}
 
-  const ClusterSpec cluster = make_p4de_cluster(1);
-  const CommModel comm(cluster);
-  const ProfileDb db(l.model,
-                     AnalyticCostModel(cluster.device, NoiseSource(1, 0.0)),
-                     default_batch_grid());
-  EngineOptions eopts;
-  eopts.iterations = iterations;
-  eopts.group_batch = 8.0;
-  eopts.data_parallel_degree = 2;
-  eopts.record_timelines = true;
-  const EngineResult result = ExecutionEngine(db, comm).run(l.program, eopts);
-  ASSERT_EQ(result.timelines.devices.size(), expected.size());
-  for (std::size_t dev = 0; dev < expected.size(); ++dev) {
-    std::vector<std::string> engine_log;
-    for (const PipelineOp& op : result.timelines.devices[dev].ops) {
-      std::string sig = timeline_signature(op);
-      if (!sig.empty()) {
-        engine_log.push_back(std::move(sig));
-      }
-    }
-    EXPECT_EQ(engine_log, expected[dev]) << "engine, device " << dev;
+TEST(Interleaved, TwoLayerFrozenOpThreeWayParity) {
+  // A kFrozenForward may cover several layers. Give the trainer's encoder
+  // a second layer and merge each device's two single-layer preamble ops
+  // into one "frozen c1 l0:2": the runtime and the engine both log the
+  // merged op under its whole layer range, as the occupancy trace names
+  // it, and the merge changes no bit of the trajectory.
+  const rt::DdpmProblem problem(rt::DdpmConfig{});
+  ModelDesc model = rt::trainer_planner_model(
+      static_cast<int>(problem.make_backbone()->size()));
+  model.components[1].layers.push_back(model.components[1].layers[0]);
+  const InstructionProgram split = lowered_interleaved(model, 2, 2, 4, 8.0, 2);
+  InstructionProgram merged = split;
+  for (std::vector<Instruction>& stream : merged.preamble) {
+    ASSERT_EQ(stream.size(), 2u);
+    ASSERT_EQ(op_signature(stream[0]), "frozen c1 l0:1");
+    ASSERT_EQ(op_signature(stream[1]), "frozen c1 l1:2");
+    stream[0].layer_end = 2;
+    stream.pop_back();
   }
+  const ValidationReport rep =
+      ProgramValidator().validate_runtime_bindable(merged);
+  ASSERT_TRUE(rep.ok()) << rep.to_string();
+
+  const int iterations = 3;
+  const ExecutionLog expected = occupancy_trace(merged, iterations);
+  for (const std::vector<std::string>& device : expected) {
+    ASSERT_FALSE(device.empty());
+    EXPECT_EQ(device.front(), "frozen c1 l0:2");
+  }
+  rt::PipelineRtConfig cfg;
+  cfg.data_parallel_degree = 2;
+  cfg.global_batch = 16;
+  cfg.cross_iteration = true;
+  cfg.record_execution = true;
+  rt::PipelineTrainer trainer(problem, cfg, merged);
+  trainer.train(iterations);
+  EXPECT_EQ(trainer.execution_log(), expected);
+  EXPECT_EQ(engine_log(model, merged, iterations, 8.0, 2), expected);
+  expect_same_trajectory(problem, split, merged, 16);
 }
 
 TEST(Interleaved, EngineBubbleShrinksWithVirtualStages) {

@@ -34,38 +34,22 @@ float params_diff(const std::vector<Tensor>& a,
   return worst;
 }
 
-/// op_signature of an engine timeline op (trainer-lowered programs only
-/// carry single-layer frozen placements, so layer_begin+1 == layer_end).
-std::string timeline_signature(const PipelineOp& op) {
-  Instruction instr;
-  switch (op.kind) {
-    case OpKind::kLoad:
-      instr.kind = InstrKind::kLoadMicroBatch;
-      break;
-    case OpKind::kForward:
-      instr.kind = InstrKind::kForward;
-      break;
-    case OpKind::kBackward:
-      instr.kind = InstrKind::kBackward;
-      break;
-    case OpKind::kFrozenForward:
-    case OpKind::kFrozenForwardPartial:
-    case OpKind::kLeftoverForward:
-      instr.kind = InstrKind::kFrozenForward;
-      break;
-    case OpKind::kOptimizer:
-      instr.kind = InstrKind::kOptimizerStep;
-      break;
-    case OpKind::kGradSync:
-      return {};
-  }
-  instr.backbone = op.backbone;
-  instr.stage = op.stage;
-  instr.micro = op.micro;
-  instr.component = op.component;
-  instr.layer_begin = op.layer;
-  instr.layer_end = op.layer + 1;
-  return op_signature(instr);
+/// The engine's execution log of `iterations` replays of `program`, costed
+/// against `model` on one p4de machine.
+ExecutionLog engine_log(const ModelDesc& model,
+                        const InstructionProgram& program, int iterations,
+                        double group_batch, int dp) {
+  const ClusterSpec cluster = make_p4de_cluster(1);
+  const CommModel comm(cluster);
+  const ProfileDb db(model,
+                     AnalyticCostModel(cluster.device, NoiseSource(1, 0.0)),
+                     default_batch_grid());
+  EngineOptions eopts;
+  eopts.iterations = iterations;
+  eopts.group_batch = group_batch;
+  eopts.data_parallel_degree = dp;
+  eopts.record_timelines = true;
+  return ExecutionEngine(db, comm).run(program, eopts).execution_log;
 }
 
 TEST(Parity, RuntimeExecutionMatchesOccupancyTrace) {
@@ -98,9 +82,8 @@ TEST(Parity, RuntimeExecutionMatchesOccupancyTrace) {
 
 TEST(Parity, SimEngineReplaysTheTrainerProgramInTheSameOrder) {
   // The other half of "one program, two backends": feed the trainer's
-  // lowered program to the discrete-event engine and compare its measured
-  // timelines (occupying ops only) against the same occupancy trace the
-  // runtime matched.
+  // lowered program to the discrete-event engine and compare its execution
+  // log against the same occupancy trace the runtime matched.
   TrainerLoweringSpec spec;
   spec.num_stages = 3;
   spec.num_microbatches = 4;
@@ -110,30 +93,9 @@ TEST(Parity, SimEngineReplaysTheTrainerProgramInTheSameOrder) {
   spec.num_modules = 9;
   const TrainerLowering l = lower_trainer_program(spec);
 
-  const ClusterSpec cluster = make_p4de_cluster(1);
-  const CommModel comm(cluster);
-  const ProfileDb db(l.model,
-                     AnalyticCostModel(cluster.device, NoiseSource(1, 0.0)),
-                     default_batch_grid());
-  EngineOptions eopts;
-  eopts.iterations = 3;
-  eopts.group_batch = 12.0;  // Per-group share of the global batch.
-  eopts.data_parallel_degree = 2;
-  eopts.record_timelines = true;
-  const EngineResult result = ExecutionEngine(db, comm).run(l.program, eopts);
-
-  const auto expected = occupancy_trace(l.program, eopts.iterations);
-  ASSERT_EQ(result.timelines.devices.size(), expected.size());
-  for (std::size_t dev = 0; dev < expected.size(); ++dev) {
-    std::vector<std::string> engine_log;
-    for (const PipelineOp& op : result.timelines.devices[dev].ops) {
-      std::string sig = timeline_signature(op);
-      if (!sig.empty()) {
-        engine_log.push_back(std::move(sig));
-      }
-    }
-    EXPECT_EQ(engine_log, expected[dev]) << "device " << dev;
-  }
+  // Each of the 2 groups replays its 12-row share of the global batch.
+  EXPECT_EQ(engine_log(l.model, l.program, 3, 12.0, 2),
+            occupancy_trace(l.program, 3));
 }
 
 TEST(Interpreter, ExternalProgramReproducesSelfLoweredTrajectory) {
@@ -433,6 +395,61 @@ TEST(Interpreter, RejectsStreamsThatWaitInACycle) {
   }
 }
 
+TEST(Interpreter, ReorderedGradientReceivesTrainBitIdentically) {
+  // Tensor slots are keyed by (replica, stage, micro) and each receive is
+  // paired with its send by (direction, boundary, micro), so a device may
+  // take its gradients in any order its stream can wait in. Device 0 of a
+  // 1F1B S=2 M=4 program receives micro 1's gradient before micro 0's: it
+  // trains bit-identically to the unmodified program, and both back-ends
+  // execute it in its occupancy order.
+  const DdpmProblem problem(DdpmConfig{});
+  TrainerLoweringSpec spec;
+  spec.num_stages = 2;
+  spec.num_microbatches = 4;
+  spec.data_parallel_degree = 2;
+  spec.global_batch = 16;
+  spec.num_modules = problem.make_backbone()->size();
+  const TrainerLowering l = lower_trainer_program(spec);
+  InstructionProgram reordered = l.program;
+  std::vector<Instruction>& stream = reordered.per_device[0];
+  const auto recv_grad = [&](int micro) {
+    return std::find_if(stream.begin(), stream.end(),
+                        [&](const Instruction& i) {
+                          return i.kind == InstrKind::kRecvGradient &&
+                                 i.micro == micro;
+                        });
+  };
+  const auto m0 = recv_grad(0);
+  const auto m1 = recv_grad(1);
+  ASSERT_TRUE(m0 != stream.end() && m1 != stream.end() && m0 < m1);
+  std::rotate(m0, m1, m1 + 1);
+  const ValidationReport rep =
+      ProgramValidator().validate_runtime_bindable(reordered);
+  ASSERT_TRUE(rep.ok()) << rep.to_string();
+
+  const int iterations = 6;
+  PipelineRtConfig cfg;
+  cfg.data_parallel_degree = 2;
+  cfg.global_batch = 16;
+  cfg.use_adam = true;
+  cfg.lr = 0.01f;
+  cfg.record_execution = true;
+  PipelineTrainer original(problem, cfg, l.program);
+  PipelineTrainer trainer(problem, cfg, reordered);
+  original.train(iterations);
+  trainer.train(iterations);
+  EXPECT_FLOAT_EQ(
+      params_diff(original.snapshot_params(), trainer.snapshot_params()),
+      0.0f);
+  ASSERT_EQ(original.losses().size(), trainer.losses().size());
+  for (std::size_t i = 0; i < original.losses().size(); ++i) {
+    EXPECT_DOUBLE_EQ(original.losses()[i], trainer.losses()[i]) << i;
+  }
+  const ExecutionLog expected = occupancy_trace(reordered, iterations);
+  EXPECT_EQ(trainer.execution_log(), expected);
+  EXPECT_EQ(engine_log(l.model, reordered, iterations, 8.0, 2), expected);
+}
+
 TEST(Interpreter, BindingMapsStagesOntoDisjointModuleRanges) {
   const DdpmProblem problem(DdpmConfig{});
   const int num_modules = problem.make_backbone()->size();
@@ -454,9 +471,6 @@ TEST(Interpreter, BindingMapsStagesOntoDisjointModuleRanges) {
     if (s > 0) {
       EXPECT_EQ(binding.module_begin(s), binding.module_end(s - 1));
     }
-    const std::vector<int>& owned =
-        binding.stages_of_device(binding.device_of_stage(s));
-    EXPECT_EQ(owned[binding.slot_of_stage(s)], s);
   }
   // Frozen preamble slots, across all devices of the group, tile the
   // replica's rows exactly once.

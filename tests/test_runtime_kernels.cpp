@@ -405,9 +405,9 @@ TEST(Trajectory, TrainerSurfacesPoolStats) {
   cfg.global_batch = 16;
   PipelineTrainer trainer(problem, cfg);
   const std::uint64_t avoided_before =
-      trainer.pool_stats().allocs_avoided;
+      TensorPool::global().stats().allocs_avoided;
   trainer.train(4);
-  const TensorPool::Stats after = trainer.pool_stats();
+  const TensorPool::Stats after = TensorPool::global().stats();
   // After the first iteration the working set is warm: later iterations
   // must be served from the free lists.
   EXPECT_GT(after.allocs_avoided, avoided_before);

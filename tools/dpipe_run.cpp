@@ -3,12 +3,12 @@
 // interpret the same validated program:
 //
 //   --backend=sim   discrete-event engine (modeled time, default)
-//   --backend=real  functional runtime (real tensors, one thread per
-//                   device walking its instruction stream)
+//   --backend=real  functional runtime (real tensors; every wave runs one
+//                   static op order over all devices' streams)
 //
 // With --backend=real the tool also replays the program on the engine and
-// cross-checks the per-device op order of both backends against the
-// program's occupancy trace — the "one program, two backends" parity check.
+// checks that both backends' execution logs equal the program's occupancy
+// trace, device by device — the "one program, two backends" parity check.
 //
 // With --elastic the real runtime additionally absorbs an injected device
 // crash halfway through: the ElasticRecoveryController aborts the wave,
@@ -63,59 +63,12 @@ dpipe::ModelDesc model_by_name(const std::string& name) {
   throw std::invalid_argument("unknown model: " + name);
 }
 
-/// op_signature of a measured engine timeline op (occupying ops only).
-std::string timeline_signature(const dpipe::PipelineOp& op) {
-  dpipe::Instruction instr;
-  switch (op.kind) {
-    case dpipe::OpKind::kLoad:
-      instr.kind = dpipe::InstrKind::kLoadMicroBatch;
-      break;
-    case dpipe::OpKind::kForward:
-      instr.kind = dpipe::InstrKind::kForward;
-      break;
-    case dpipe::OpKind::kBackward:
-      instr.kind = dpipe::InstrKind::kBackward;
-      break;
-    case dpipe::OpKind::kFrozenForward:
-    case dpipe::OpKind::kFrozenForwardPartial:
-    case dpipe::OpKind::kLeftoverForward:
-      instr.kind = dpipe::InstrKind::kFrozenForward;
-      break;
-    case dpipe::OpKind::kOptimizer:
-      instr.kind = dpipe::InstrKind::kOptimizerStep;
-      break;
-    case dpipe::OpKind::kGradSync:
-      return {};  // Link op: occupies no device.
-  }
-  instr.backbone = op.backbone;
-  instr.stage = op.stage;
-  instr.micro = op.micro;
-  instr.component = op.component;
-  instr.layer_begin = op.layer;
-  instr.layer_end = op.layer + 1;
-  return op_signature(instr);
-}
-
-/// Measured timelines keep only a frozen op's first layer, so drop the
-/// ":end" half of frozen signatures before comparing against them.
-std::vector<std::vector<std::string>> drop_layer_end(
-    std::vector<std::vector<std::string>> log) {
-  for (std::vector<std::string>& stream : log) {
-    for (std::string& sig : stream) {
-      if (sig.rfind("frozen ", 0) == 0) {
-        sig.resize(sig.find(':'));
-      }
-    }
-  }
-  return log;
-}
-
 /// Per-device PREFIX parity: every device's actual op order must be a
 /// prefix of the expected trace (an aborted wave stops each stream early
 /// but never reorders it).
-bool check_prefix_parity(
-    const std::vector<std::vector<std::string>>& expected,
-    const std::vector<std::vector<std::string>>& actual, const char* what) {
+bool check_prefix_parity(const dpipe::ExecutionLog& expected,
+                         const dpipe::ExecutionLog& actual,
+                         const char* what) {
   if (expected.size() != actual.size()) {
     std::fprintf(stderr, "parity FAILED (%s): device count %zu vs %zu\n",
                  what, expected.size(), actual.size());
@@ -144,9 +97,8 @@ bool check_prefix_parity(
 }
 
 /// Per-device op-order parity between two execution records.
-bool check_parity(const std::vector<std::vector<std::string>>& expected,
-                  const std::vector<std::vector<std::string>>& actual,
-                  const char* what) {
+bool check_parity(const dpipe::ExecutionLog& expected,
+                  const dpipe::ExecutionLog& actual, const char* what) {
   if (expected.size() != actual.size()) {
     std::fprintf(stderr, "parity FAILED (%s): device count %zu vs %zu\n",
                  what, expected.size(), actual.size());
@@ -191,6 +143,21 @@ int run_sim(const dpipe::InstructionProgram& program,
   std::printf("  throughput %.1f samples/s, bubble ratio %.1f%%\n",
               result.samples_per_second, 100.0 * result.steady_bubble_ratio);
   return 0;
+}
+
+/// Replays `program` on the discrete-event engine for `iterations` and
+/// returns its execution log.
+dpipe::ExecutionLog engine_replay(const dpipe::InstructionProgram& program,
+                                  const dpipe::ProfileDb& db,
+                                  const dpipe::CommModel& comm,
+                                  double group_batch, int dp,
+                                  int iterations) {
+  dpipe::EngineOptions sim;
+  sim.group_batch = group_batch;
+  sim.data_parallel_degree = dp;
+  sim.iterations = iterations;
+  sim.record_timelines = true;
+  return dpipe::ExecutionEngine(db, comm).run(program, sim).execution_log;
 }
 
 int run_real(const dpipe::InstructionProgram& program,
@@ -244,63 +211,20 @@ int run_real(const dpipe::InstructionProgram& program,
   }
   std::printf("\n");
 
-  // Cross-backend parity: the runtime's executed op order, the simulated
-  // engine's measured timelines, and the program's static occupancy trace
-  // must agree per device.
-  const std::vector<std::vector<std::string>> expected =
-      occupancy_trace(trainer.program(), iterations);
+  // Cross-backend parity: the runtime's and the engine's execution logs
+  // must both equal the program's static occupancy trace.
+  const ExecutionLog expected = occupancy_trace(trainer.program(), iterations);
   bool ok = check_parity(expected, trainer.execution_log(), "runtime");
-
-  EngineOptions sim;
-  sim.group_batch = static_cast<double>(per_micro) * num_micros;
-  sim.data_parallel_degree = dp;
-  sim.iterations = iterations;
-  sim.record_timelines = true;
-  const ExecutionEngine engine(db, comm);
-  const EngineResult result = engine.run(trainer.program(), sim);
-  std::vector<std::vector<std::string>> engine_log(
-      result.timelines.devices.size());
-  for (std::size_t dev = 0; dev < result.timelines.devices.size(); ++dev) {
-    for (const PipelineOp& op : result.timelines.devices[dev].ops) {
-      std::string sig = timeline_signature(op);
-      if (!sig.empty()) {
-        engine_log[dev].push_back(std::move(sig));
-      }
-    }
-  }
-  ok = check_parity(drop_layer_end(expected), drop_layer_end(engine_log),
+  ok = check_parity(expected,
+                    engine_replay(trainer.program(), db, comm,
+                                  static_cast<double>(per_micro) * num_micros,
+                                  dp, iterations),
                     "engine") &&
        ok;
 
   std::printf("  cross-backend op order parity: %s\n",
               ok ? "OK" : "FAILED");
   return ok ? 0 : 1;
-}
-
-/// Replays `program` on the discrete-event engine for `iterations` and
-/// returns its per-device occupying-op signatures.
-std::vector<std::vector<std::string>> engine_replay(
-    const dpipe::InstructionProgram& program, const dpipe::ProfileDb& db,
-    const dpipe::CommModel& comm, double group_batch, int dp,
-    int iterations) {
-  using namespace dpipe;
-  EngineOptions sim;
-  sim.group_batch = group_batch;
-  sim.data_parallel_degree = dp;
-  sim.iterations = iterations;
-  sim.record_timelines = true;
-  const EngineResult result = ExecutionEngine(db, comm).run(program, sim);
-  std::vector<std::vector<std::string>> engine_log(
-      result.timelines.devices.size());
-  for (std::size_t dev = 0; dev < result.timelines.devices.size(); ++dev) {
-    for (const PipelineOp& op : result.timelines.devices[dev].ops) {
-      std::string sig = timeline_signature(op);
-      if (!sig.empty()) {
-        engine_log[dev].push_back(std::move(sig));
-      }
-    }
-  }
-  return engine_log;
 }
 
 int run_elastic(const dpipe::InstructionProgram& program,
@@ -397,7 +321,7 @@ int run_elastic(const dpipe::InstructionProgram& program,
     // model, so replay those against its db on the shrunk cluster.
     const double group_batch = static_cast<double>(
         phase.config.global_batch / phase.config.data_parallel_degree);
-    std::vector<std::vector<std::string>> engine_log;
+    ExecutionLog engine_log;
     if (p == 0) {
       engine_log = engine_replay(phase.program, db, comm, group_batch,
                                  phase.config.data_parallel_degree,
@@ -413,15 +337,11 @@ int run_elastic(const dpipe::InstructionProgram& program,
                                  phase.config.data_parallel_degree,
                                  full_iters);
     }
-    const auto expected =
-        drop_layer_end(occupancy_trace(phase.program, full_iters));
+    const ExecutionLog expected = occupancy_trace(phase.program, full_iters);
     if (phase.crashed) {
-      ok = check_prefix_parity(expected, drop_layer_end(engine_log),
-                               "engine") &&
-           ok;
+      ok = check_prefix_parity(expected, engine_log, "engine") && ok;
     } else {
-      ok = check_parity(expected, drop_layer_end(engine_log), "engine") &&
-           ok;
+      ok = check_parity(expected, engine_log, "engine") && ok;
     }
   }
   std::printf("  per-phase op order parity: %s\n", ok ? "OK" : "FAILED");
