@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+
+#include "common/canonical.h"
+#include "common/hash.h"
 #include "core/partition/bidirectional.h"
 #include "core/schedule/schedule.h"
 #include "model/zoo.h"
@@ -277,6 +282,107 @@ TEST(ScheduleBuilder, RejectsInconsistentStages) {
   wrong.num_stages = 2;
   EXPECT_THROW((void)f.builder.build_1f1b(0, part.stages, wrong),
                std::invalid_argument);
+}
+
+/// Fingerprint of every field of a schedule: each PipelineOp of each
+/// device timeline and of link_ops (doubles as raw bits in hex), the
+/// makespans, backbone_stages and placement. One ulp of drift anywhere, or
+/// one op moved between devices, changes it.
+std::string schedule_digest(const Schedule& schedule) {
+  CanonicalWriter out;
+  const auto bits = [&out](double value) -> CanonicalWriter& {
+    return out.hex(std::bit_cast<std::uint64_t>(value)) << ' ';
+  };
+  const auto put_op = [&](const PipelineOp& op) {
+    out << static_cast<int>(op.kind) << ' ' << op.backbone << ' ' << op.stage
+        << ' ' << op.micro << ' ' << op.component << ' ' << op.layer << ' ';
+    bits(op.samples);
+    bits(op.start_ms);
+    bits(op.end_ms) << '\n';
+  };
+  out << schedule.group_size << ' ' << schedule.num_stages << ' '
+      << schedule.num_microbatches << ' ';
+  bits(schedule.makespan_ms);
+  bits(schedule.compute_makespan_ms) << '\n';
+  for (std::size_t d = 0; d < schedule.devices.size(); ++d) {
+    out << "device " << d << '\n';
+    for (const PipelineOp& op : schedule.devices[d].ops) {
+      put_op(op);
+    }
+  }
+  out << "link\n";
+  for (const PipelineOp& op : schedule.link_ops) {
+    put_op(op);
+  }
+  for (const std::vector<StagePlan>& stages : schedule.backbone_stages) {
+    out << "backbone\n";
+    for (const StagePlan& stage : stages) {
+      out << stage.layer_begin << ' ' << stage.layer_end << ' '
+          << stage.replicas;
+      for (const int rank : stage.device_ranks) {
+        out << ' ' << rank;
+      }
+      out << '\n';
+    }
+  }
+  for (const std::vector<StagePlacement>& placement : schedule.placement) {
+    out << "placement";
+    for (const StagePlacement& p : placement) {
+      out << ' ' << p.device << ':' << p.slot;
+    }
+    out << '\n';
+  }
+  return fingerprint_bytes(out.take()).hex();
+}
+
+TEST(ScheduleBuilder, GoldenScheduleDigests) {
+  // One fixed input per schedule family, pinned bit for bit, so any rewrite
+  // of the builders must keep proto-op order, queue order, executor
+  // mapping, timings and placement exactly.
+  const Fixture sd(make_stable_diffusion_v21());
+  const int unet = sd.model.backbone_ids[0];
+  PartitionOptions opts = basic_options(2, 4, 8);  // 4 replicas per stage.
+  opts.self_conditioning = sd.model.self_conditioning;
+  opts.self_cond_prob = sd.model.self_cond_prob;
+  ASSERT_TRUE(opts.self_conditioning);
+  const PartitionResult part = sd.partitioner.partition_single(unet, opts);
+  ASSERT_EQ(part.stages[0].replicas, 4);
+  EXPECT_EQ(schedule_digest(sd.builder.build_1f1b(unet, part.stages, opts)),
+            "c7f67883fcbdfb902a9869140bf48f68");
+  EXPECT_EQ(schedule_digest(sd.builder.build_gpipe(unet, part.stages, opts)),
+            "d3b927d7aa2564df36d00f9fe9776e02");
+
+  // Interleaved, V = 2: eight virtual stages round-robin on four devices,
+  // two data-parallel groups.
+  const int D = 4;
+  const int V = 2;
+  PartitionOptions iopts = opts;
+  iopts.num_stages = D * V;
+  iopts.group_size = D;
+  iopts.data_parallel_degree = 2;
+  PartitionOptions chain_opts = iopts;
+  chain_opts.group_size = D * V;
+  chain_opts.device_ranks.resize(D * V);
+  for (int s = 0; s < D * V; ++s) {
+    chain_opts.device_ranks[s] = s % D;
+  }
+  chain_opts.dp_rank_stride = D;
+  std::vector<StagePlan> virtual_stages =
+      sd.partitioner.partition_single(unet, chain_opts).stages;
+  for (int s = 0; s < D * V; ++s) {
+    virtual_stages[s].device_ranks = {s % D};
+  }
+  EXPECT_EQ(schedule_digest(
+                sd.builder.build_interleaved(unet, virtual_stages, iopts)),
+            "8ef9a31318638a1de93ed30fdac34e2f");
+
+  const Fixture cdm(make_cdm_lsun());
+  const PartitionOptions bopts = basic_options(4, 4, 8);
+  const BiPartitionResult bi =
+      partition_bidirectional(cdm.partitioner, 1, 2, bopts);
+  EXPECT_EQ(schedule_digest(cdm.builder.build_bidirectional(
+                1, bi.down_stages, 2, bi.up_stages, bopts)),
+            "90fe52e1ae159b1be9e91a4e9fc51779");
 }
 
 TEST(ScheduleMetrics, BubbleRatioBounds) {
