@@ -156,9 +156,10 @@ std::optional<Planner::Evaluation> Planner::evaluate(
   opts.self_cond_prob = model_.self_cond_prob;
 
   // One cache per evaluation: caches are single-threaded by design, and the
-  // DP, the bidirectional pairing, and the schedule builder of one combo all
-  // query the same (component, range, placement) keys. With a cache store
-  // the combo's persistent cache (pre-fetched by plan()) is used instead,
+  // DP and the bidirectional pairing of one combo query the same
+  // (component, range, placement) keys. The schedule builder times its
+  // stages from the profile and never reads it. With a cache store the
+  // combo's persistent cache (pre-fetched by plan()) is used instead,
   // carrying costs memoized by earlier plans into this one.
   StageCostCache cache;
   StageCostCache* cache_ptr = external_cache != nullptr ? external_cache : &cache;
@@ -173,9 +174,8 @@ std::optional<Planner::Evaluation> Planner::evaluate(
     // Interleaved placement: partition the backbone into S*V virtual
     // stages over a synthetic identity chain (one replica per virtual
     // stage, so the DP and the stage-cost cache see chain positions
-    // 0..S*V-1 — exactly the keys interleaved_stage_timings looks up),
-    // then remap the virtual chain round-robin onto the S physical
-    // devices.
+    // 0..S*V-1), then remap the virtual chain round-robin onto the S
+    // physical devices.
     const int St = S * V;
     PartitionOptions chain_opts = opts;
     chain_opts.num_stages = St;
@@ -196,20 +196,19 @@ std::optional<Planner::Evaluation> Planner::evaluate(
       stages[s].device_ranks = {s % D};
     }
     opts.num_stages = St;
-    schedule = builder.build_interleaved(model_.backbone_ids[0], stages,
-                                         opts, cache_ptr);
+    schedule =
+        builder.build_interleaved(model_.backbone_ids[0], stages, opts);
   } else if (model_.backbone_ids.size() == 1) {
     const PartitionResult part = partitioner.partition_single(
         model_.backbone_ids[0], opts, cache_ptr);
-    schedule = builder.build_1f1b(model_.backbone_ids[0], part.stages, opts,
-                                  cache_ptr);
+    schedule = builder.build_1f1b(model_.backbone_ids[0], part.stages, opts);
   } else {
     const BiPartitionResult part =
         partition_bidirectional(partitioner, model_.backbone_ids[0],
                                 model_.backbone_ids[1], opts, cache_ptr);
     schedule = builder.build_bidirectional(
         model_.backbone_ids[0], part.down_stages, model_.backbone_ids[1],
-        part.up_stages, opts, cache_ptr);
+        part.up_stages, opts);
   }
 
   Evaluation eval;

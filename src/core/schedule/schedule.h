@@ -111,26 +111,25 @@ struct Schedule {
 /// overlap bubble-filled compute (§2.3, §6.1). Self-conditioning is modeled
 /// in expectation: forward durations and boundary transfers scale by
 /// (1 + p), and the feedback transfer T_F extends the makespan (§4.3).
+/// Every stage is timed from the profile and the communication model; the
+/// four families share one builder body and differ only in which executor
+/// runs each stage and in their queue order.
 class ScheduleBuilder {
  public:
   ScheduleBuilder(const ProfileDb& db, const CommModel& comm);
 
-  /// FIFO-1F1B schedule (paper Fig. 2) of one backbone. A non-null `cache`
-  /// (populated by the partitioner under the same options) supplies the
-  /// stages' fwd/bwd/sync times without recomputation; timings are
-  /// bit-identical with and without it.
+  /// FIFO-1F1B schedule (paper Fig. 2) of one backbone. The trailing
+  /// StageCostCache pointer is ignored: it is kept only so existing
+  /// callers that pass the partitioner's cache still compile.
   [[nodiscard]] Schedule build_1f1b(int backbone_component,
                                     const std::vector<StagePlan>& stages,
                                     const PartitionOptions& opts,
-                                    const StageCostCache* cache
-                                    = nullptr) const;
+                                    const StageCostCache* = nullptr) const;
 
   /// GPipe-style schedule: all forwards, then all backwards per stage.
   [[nodiscard]] Schedule build_gpipe(int backbone_component,
                                      const std::vector<StagePlan>& stages,
-                                     const PartitionOptions& opts,
-                                     const StageCostCache* cache
-                                     = nullptr) const;
+                                     const PartitionOptions& opts) const;
 
   /// Interleaved 1F1B (Megatron/JaxPP-style looping placement): the group's
   /// opts.group_size devices each own stages.size() / group_size virtual
@@ -140,23 +139,20 @@ class ScheduleBuilder {
   /// stages' 1F1B queues greedily. With V == 1 the result is bit-identical
   /// to build_1f1b; V > 1 needs group_size >= 2 (a device never sends to
   /// itself).
-  [[nodiscard]] Schedule build_interleaved(int backbone_component,
-                                           const std::vector<StagePlan>&
-                                               stages,
-                                           const PartitionOptions& opts,
-                                           const StageCostCache* cache
-                                           = nullptr) const;
+  [[nodiscard]] Schedule build_interleaved(
+      int backbone_component, const std::vector<StagePlan>& stages,
+      const PartitionOptions& opts) const;
 
   /// Bidirectional schedule (paper Fig. 3): down backbone stage k and up
   /// backbone stage S-1-k share chain position k. Up stages must be given
   /// in up-pipeline order (stage 0 at the chain end), as produced by
-  /// partition_bidirectional(). `cache` must have been populated under the
-  /// x2 competition factor (partition_bidirectional does).
+  /// partition_bidirectional(). Boundary transfers are costed under at
+  /// least the x2 competition factor (§4.2). The trailing StageCostCache
+  /// pointer is ignored, as in build_1f1b.
   [[nodiscard]] Schedule build_bidirectional(
       int down_component, const std::vector<StagePlan>& down_stages,
       int up_component, const std::vector<StagePlan>& up_stages,
-      const PartitionOptions& opts,
-      const StageCostCache* cache = nullptr) const;
+      const PartitionOptions& opts, const StageCostCache* = nullptr) const;
 
  private:
   const ProfileDb* db_;

@@ -1,6 +1,7 @@
 #include "model/zoo.h"
 
 #include <cmath>
+#include <stdexcept>
 
 #include "common/noise.h"
 
@@ -481,6 +482,17 @@ ModelDesc make_uniform_model(int num_layers, double gflop_per_layer,
   m.backbone_ids = {0};
   validate(m);
   return m;
+}
+
+ModelDesc model_by_name(const std::string& name) {
+  if (name == "sd21") return make_stable_diffusion_v21();
+  if (name == "controlnet") return make_controlnet_v10();
+  if (name == "cdm_lsun") return make_cdm_lsun();
+  if (name == "cdm_imagenet") return make_cdm_imagenet();
+  if (name == "cdm_imagenet_full") return make_cdm_imagenet_full();
+  if (name == "sdxl") return make_sdxl_base();
+  if (name == "dit") return make_dit_xl2();
+  throw std::invalid_argument("unknown model: " + name);
 }
 
 }  // namespace dpipe

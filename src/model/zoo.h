@@ -1,5 +1,7 @@
 #pragma once
 
+#include <string>
+
 #include "model/model.h"
 
 namespace dpipe {
@@ -50,6 +52,11 @@ namespace dpipe {
 /// paper's conclusion names as a natural extension. Frozen parts: a class/
 /// text embedder and the VAE encoder at 256x256.
 [[nodiscard]] ModelDesc make_dit_xl2();
+
+/// The zoo model a command-line name selects: "sd21", "controlnet",
+/// "cdm_lsun", "cdm_imagenet", "cdm_imagenet_full", "sdxl" or "dit".
+/// Throws std::invalid_argument on any other name.
+[[nodiscard]] ModelDesc model_by_name(const std::string& name);
 
 /// Synthetic single-backbone model for tests: `num_layers` trainable layers
 /// with deterministic pseudo-random sizes (seeded), one small frozen encoder

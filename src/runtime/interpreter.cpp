@@ -805,10 +805,9 @@ TrainerLowering lower_trainer_program(const TrainerLoweringSpec& spec) {
   DPIPE_REQUIRE(G >= 1, "need at least one replica");
   DPIPE_REQUIRE(spec.global_batch % (G * M) == 0,
                 "global batch must divide into replicas x micro-batches");
-  DPIPE_REQUIRE(spec.family == ScheduleFamily::k1F1B ||
-                    spec.family == ScheduleFamily::kInterleaved,
-                "trainer lowering supports the 1f1b and interleaved "
-                "schedule families only");
+  DPIPE_REQUIRE(spec.family != ScheduleFamily::kBidirectional,
+                "trainer lowering has one backbone; bidirectional "
+                "schedules need two");
   DPIPE_REQUIRE(spec.vstages >= 1, "vstages must be positive");
   DPIPE_REQUIRE(
       spec.vstages == 1 || spec.family == ScheduleFamily::kInterleaved,
@@ -852,6 +851,8 @@ TrainerLowering lower_trainer_program(const TrainerLoweringSpec& spec) {
   const Schedule schedule =
       spec.family == ScheduleFamily::kInterleaved
           ? builder.build_interleaved(0, stages, out.options)
+      : spec.family == ScheduleFamily::kGpipe
+          ? builder.build_gpipe(0, stages, out.options)
           : builder.build_1f1b(0, stages, out.options);
 
   FillResult fill;

@@ -255,8 +255,9 @@ struct TrainerLoweringSpec {
   /// Schedule family. k1F1B is the historical trainer schedule;
   /// kInterleaved places vstages virtual stages round-robin on each device
   /// (vstages == 1 lowers to a program bit-identical to the k1F1B one).
-  /// Other families are not runtime-bindable (GPipe's LIFO backward order
-  /// breaks the FIFO autograd stashes).
+  /// kGpipe lowers for the engine only: validate_runtime_bindable rejects
+  /// its LIFO backward order, which breaks the FIFO autograd stashes.
+  /// kBidirectional needs two backbones and is rejected.
   ScheduleFamily family = ScheduleFamily::k1F1B;
   int vstages = 1;  ///< Virtual stages per device (kInterleaved only).
 };

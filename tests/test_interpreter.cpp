@@ -13,7 +13,9 @@
 #include <string>
 #include <vector>
 
+#include "common/hash.h"
 #include "common/parallel.h"
+#include "core/instr/serialize.h"
 #include "core/instr/validate.h"
 #include "engine/engine.h"
 #include "runtime/dp_trainer.h"
@@ -360,6 +362,37 @@ TEST(Interpreter, RejectsCorruptedPrograms) {
     std::swap(bad.per_device[0], bad.per_device[1]);
     EXPECT_THROW(PipelineTrainer(problem, cfg, bad), std::invalid_argument);
   }
+}
+
+TEST(Interpreter, GpipeLoweringIsPinnedAndNotBindable) {
+  // GPipe lowers through the same trainer lowering as 1F1B, without
+  // cross-iteration filling (it is the baseline that fills nothing, §6).
+  // The program is pinned bit for bit; binding rejects its LIFO backward
+  // order, which the FIFO autograd stashes cannot replay.
+  const DdpmProblem problem(DdpmConfig{});
+  TrainerLoweringSpec spec;
+  spec.num_stages = 2;
+  spec.num_microbatches = 4;
+  spec.global_batch = 8;
+  spec.cross_iteration = false;
+  spec.num_modules = 9;
+  spec.family = ScheduleFamily::kGpipe;
+  ASSERT_EQ(static_cast<int>(problem.make_backbone()->size()),
+            spec.num_modules);
+  const TrainerLowering l = lower_trainer_program(spec);
+  const std::string text = program_to_string(l.program);
+  EXPECT_EQ(text.size(), 2301u);
+  EXPECT_EQ(fingerprint_bytes(text).hex(), "32c8f46cfa0a275afb409e9bcbd31064");
+  const ProgramValidator validator;
+  EXPECT_TRUE(validator.validate(l.program).ok());
+  EXPECT_FALSE(validator.validate_runtime_bindable(l.program).ok());
+  PipelineRtConfig cfg;
+  cfg.global_batch = 8;
+  cfg.cross_iteration = false;
+  EXPECT_THROW(PipelineTrainer(problem, cfg, l.program),
+               std::invalid_argument);
+  spec.family = ScheduleFamily::kBidirectional;
+  EXPECT_THROW((void)lower_trainer_program(spec), std::invalid_argument);
 }
 
 TEST(Interpreter, RejectsStreamsThatWaitInACycle) {

@@ -118,5 +118,25 @@ TEST(Zoo, UniformModelIsUniform) {
   }
 }
 
+TEST(Zoo, ModelByNameSelectsEveryZooModel) {
+  const std::pair<const char*, ModelDesc> named[] = {
+      {"sd21", make_stable_diffusion_v21()},
+      {"controlnet", make_controlnet_v10()},
+      {"cdm_lsun", make_cdm_lsun()},
+      {"cdm_imagenet", make_cdm_imagenet()},
+      {"cdm_imagenet_full", make_cdm_imagenet_full()},
+      {"sdxl", make_sdxl_base()},
+      {"dit", make_dit_xl2()},
+  };
+  for (const auto& [name, model] : named) {
+    SCOPED_TRACE(name);
+    const ModelDesc got = model_by_name(name);
+    EXPECT_EQ(got.name, model.name);
+    EXPECT_EQ(got.components.size(), model.components.size());
+    EXPECT_EQ(got.backbone_ids, model.backbone_ids);
+  }
+  EXPECT_THROW((void)model_by_name("sd22"), std::invalid_argument);
+}
+
 }  // namespace
 }  // namespace dpipe

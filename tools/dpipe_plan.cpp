@@ -35,18 +35,6 @@
 
 namespace {
 
-dpipe::ModelDesc model_by_name(const std::string& name) {
-  using namespace dpipe;
-  if (name == "sd21") return make_stable_diffusion_v21();
-  if (name == "controlnet") return make_controlnet_v10();
-  if (name == "cdm_lsun") return make_cdm_lsun();
-  if (name == "cdm_imagenet") return make_cdm_imagenet();
-  if (name == "cdm_imagenet_full") return make_cdm_imagenet_full();
-  if (name == "sdxl") return make_sdxl_base();
-  if (name == "dit") return make_dit_xl2();
-  throw std::invalid_argument("unknown model: " + name);
-}
-
 int connect_to(const std::string& socket_path) {
   sockaddr_un addr{};
   if (socket_path.size() >= sizeof(addr.sun_path)) {
@@ -135,7 +123,7 @@ int main(int argc, char** argv) {
     return 2;
   }
   try {
-    const dpipe::ModelDesc model = model_by_name(positional[0]);
+    const dpipe::ModelDesc model = dpipe::model_by_name(positional[0]);
     const int machines = std::atoi(positional[1].c_str());
     const double batch = std::atof(positional[2].c_str());
     dpipe::PlannerOptions options;

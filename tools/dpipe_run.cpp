@@ -51,18 +51,6 @@
 
 namespace {
 
-dpipe::ModelDesc model_by_name(const std::string& name) {
-  using namespace dpipe;
-  if (name == "sd21") return make_stable_diffusion_v21();
-  if (name == "controlnet") return make_controlnet_v10();
-  if (name == "cdm_lsun") return make_cdm_lsun();
-  if (name == "cdm_imagenet") return make_cdm_imagenet();
-  if (name == "cdm_imagenet_full") return make_cdm_imagenet_full();
-  if (name == "sdxl") return make_sdxl_base();
-  if (name == "dit") return make_dit_xl2();
-  throw std::invalid_argument("unknown model: " + name);
-}
-
 /// Per-device PREFIX parity: every device's actual op order must be a
 /// prefix of the expected trace (an aborted wave stops each stream early
 /// but never reorders it).
@@ -348,39 +336,6 @@ int run_elastic(const dpipe::InstructionProgram& program,
   return ok ? 0 : 1;
 }
 
-/// GPipe lowering over the synthetic trainer model — the sim-only sibling
-/// of rt::lower_trainer_program (GPipe's LIFO backward order is not
-/// runtime-bindable, so the library lowering rejects it).
-dpipe::rt::TrainerLowering lower_gpipe_program(int S, int M, int G,
-                                               int global_batch, int L) {
-  using namespace dpipe;
-  rt::TrainerLowering out;
-  out.model = rt::trainer_planner_model(L);
-  const ClusterSpec cluster = make_p4de_cluster((S * G + 7) / 8);
-  const AnalyticCostModel cost(cluster.device, NoiseSource(1, 0.0));
-  const ProfileDb db(out.model, cost, default_batch_grid());
-  const CommModel comm(cluster);
-  out.options.num_stages = S;
-  out.options.num_microbatches = M;
-  out.options.group_size = S;
-  out.options.data_parallel_degree = G;
-  out.options.microbatch_size =
-      static_cast<double>(global_batch / G) / M;
-  std::vector<StagePlan> stages(S);
-  for (int s = 0; s < S; ++s) {
-    stages[s].layer_begin = s * L / S;
-    stages[s].layer_end = (s + 1) * L / S;
-    stages[s].replicas = 1;
-    stages[s].device_ranks = {s};
-  }
-  const ScheduleBuilder builder(db, comm);
-  const Schedule schedule = builder.build_gpipe(0, stages, out.options);
-  FillResult fill;
-  fill.filled_schedule = schedule;
-  out.program = generate_instructions(db, schedule, fill, out.options);
-  return out;
-}
-
 /// --schedule mode: lower the requested family over the synthetic trainer
 /// model and replay it on the chosen backend.
 int run_lowered(const std::string& schedule, int vstages,
@@ -412,21 +367,17 @@ int run_lowered(const std::string& schedule, int vstages,
   // 2*depth+1 modules), so the binding's module map is the identity.
   const int num_modules = 2 * std::max(4, St) + 1;
 
-  TrainerLowering lowering;
-  if (family == ScheduleFamily::kGpipe) {
-    lowering = lower_gpipe_program(S, Mi, dp, group_batch * dp, num_modules);
-  } else {
-    TrainerLoweringSpec spec;
-    spec.num_stages = S;
-    spec.num_microbatches = Mi;
-    spec.data_parallel_degree = dp;
-    spec.global_batch = group_batch * dp;
-    spec.cross_iteration = true;
-    spec.num_modules = num_modules;
-    spec.family = family;
-    spec.vstages = vstages;
-    lowering = lower_trainer_program(spec);
-  }
+  TrainerLoweringSpec spec;
+  spec.num_stages = S;
+  spec.num_microbatches = Mi;
+  spec.data_parallel_degree = dp;
+  spec.global_batch = group_batch * dp;
+  // GPipe is the baseline that does no bubble filling (§6).
+  spec.cross_iteration = family != ScheduleFamily::kGpipe;
+  spec.num_modules = num_modules;
+  spec.family = family;
+  spec.vstages = vstages;
+  const TrainerLowering lowering = lower_trainer_program(spec);
   require_valid_program(lowering.program);
 
   const ClusterSpec cluster = make_p4de_cluster((S * dp + 7) / 8);
@@ -512,7 +463,7 @@ int main(int argc, char** argv) {
     const dpipe::InstructionProgram program =
         dpipe::program_from_string(text.str());
     dpipe::require_valid_program(program);
-    const dpipe::ModelDesc model = model_by_name(argv[arg + 1]);
+    const dpipe::ModelDesc model = dpipe::model_by_name(argv[arg + 1]);
     const dpipe::ClusterSpec cluster =
         dpipe::make_p4de_cluster(std::atoi(argv[arg + 2]));
     const dpipe::CommModel comm(cluster);

@@ -12,8 +12,9 @@
 # cache and service suites (the request key copies raw double bytes), the
 # wave executor's suites (its flat node and done-flag arrays), the
 # partitioner suites (the bidirectional DP's dense cost and frontier
-# arrays), the validator and parity suites (outside programs, per-device
-# execution logs), the byte
+# arrays), the schedule builder suites (the one builder body indexes
+# executor, queue and slot arrays), the validator and parity suites
+# (outside programs, per-device execution logs), the byte
 # mutation harness under an allocation cap and the truncated huge-frame
 # test under a 16 MB one, ending with a socket-level request-storm smoke of
 # dpipe_plan_serve.
@@ -44,7 +45,7 @@ TSAN_OPTIONS="halt_on_error=1" DPIPE_THREADS=4 \
   ./build-tsan/tests/dpipe_tests \
   --gtest_filter='Channel.*:PipelineTrainer.*:Equivalence.*:Fault.*:ParallelFor.*:Executor.*:WaveWidth.*:PlannerSearch.*:Kernels.*:TensorPool.*:Trajectory.*:RngSeed.*:SimdDispatch.*:SimdParity.*:Interpreter.*:Parity.*:Interleaved.*:Elastic.*:Reshard.*:CheckpointIo.*:PlanFingerprint.*:StageCostStore.*:PlanCache.*:PlanStore.*:PlanService.*:PlanProtocol.*:Eltwise*'
 
-echo "== tier-1: AddressSanitizer + UBSan build (text codecs, plan cache, wave executor, partitioner, validator) =="
+echo "== tier-1: AddressSanitizer + UBSan build (text codecs, plan cache, wave executor, partitioner, schedule builder, validator) =="
 # The canonical writer formats numbers into fixed stack buffers (or, for a
 # request key, copies each double's raw bytes) and the span reader parses
 # outside bytes: run the request/model/cluster/profiler fingerprint, plan
@@ -56,14 +57,17 @@ echo "== tier-1: AddressSanitizer + UBSan build (text codecs, plan cache, wave e
 # partitioner suites: the bidirectional DP indexes dense (lo, hi) stage-cost
 # tables and row-major (down, up) frontier arrays, and its brute-force
 # oracle cases use unequal backbones so a swapped stride reads out of
-# bounds. The validator and parity suites run here too: every outside
+# bounds. So do the schedule builder suites: all four families share one
+# body that maps stages to executors, queues and device slots by index,
+# and a wrong executor count or slot map reads out of bounds. The
+# validator and parity suites run here too: every outside
 # .dpipe program the runtime binds passes validate_runtime_bindable, and
 # the engine's execution log indexes per-device vectors.
 cmake -B build-asan -S . -DDPIPE_SANITIZE=address
 cmake --build build-asan -j"$(nproc)" --target dpipe_tests
 ASAN_OPTIONS="halt_on_error=1" UBSAN_OPTIONS="print_stacktrace=1" \
   ./build-asan/tests/dpipe_tests \
-  --gtest_filter='PlanFingerprint.*:PlanCache.*:PlanStore.*:PlanService.*:PlanProtocol.*:CheckpointIo.*:Serialize.*:WaveWidth.*:Interpreter.*:Interleaved.*:Bidirectional.*:StageCostCache.*:Partitioner.*:Validator.*:Parity.*'
+  --gtest_filter='PlanFingerprint.*:PlanCache.*:PlanStore.*:PlanService.*:PlanProtocol.*:CheckpointIo.*:Serialize.*:WaveWidth.*:Interpreter.*:Interleaved.*:Bidirectional.*:StageCostCache.*:Partitioner.*:Schedule1F1B.*:ScheduleGPipe.*:ScheduleBidirectional.*:ScheduleBuilder.*:Validator.*:Parity.*'
 # A frame header claiming 60 MiB followed by 3 bytes must fail as truncated
 # having allocated only for the bytes that came: any allocation above 16 MB
 # aborts the run.
