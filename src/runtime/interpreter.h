@@ -234,9 +234,9 @@ class ProgramInterpreter {
 /// The PipelineTrainer's program generation: a synthetic ModelDesc whose
 /// backbone layers are 1:1 with the runtime Sequential's modules (plus a
 /// one-layer frozen encoder component), partitioned with the trainer's
-/// historical stage split, scheduled by ScheduleBuilder::build_1f1b,
-/// bubble-filled (cross-iteration mode only), and lowered through
-/// generate_instructions. The engine can replay `program` against a
+/// historical stage split, scheduled by the ScheduleBuilder family the
+/// spec names, bubble-filled (cross-iteration mode only), and lowered
+/// through generate_instructions. The engine can replay `program` against a
 /// ProfileDb built from `model` — that is the cross-backend parity setup.
 struct TrainerLowering {
   ModelDesc model;
