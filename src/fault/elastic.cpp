@@ -55,7 +55,7 @@ ElasticRecoveryController::ElasticRecoveryController(
                   "crash coordinates must be non-negative");
     prev_iteration = crash.iteration;
   }
-  num_modules_ = static_cast<int>(problem.make_backbone()->size());
+  num_modules_ = problem.num_modules();
 }
 
 Plan ElasticRecoveryController::plan_for_world(int world) {

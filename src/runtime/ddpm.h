@@ -64,6 +64,9 @@ class DdpmProblem {
   [[nodiscard]] int input_dim() const;
   [[nodiscard]] const DdpmConfig& config() const { return config_; }
 
+  /// Modules in make_backbone()'s chain, 2 * depth + 1, without drawing
+  /// its weights.
+  [[nodiscard]] int num_modules() const { return 2 * config_.depth + 1; }
   /// A fresh backbone with deterministic (seeded) initialization.
   [[nodiscard]] std::unique_ptr<Sequential> make_backbone() const;
 

@@ -125,6 +125,9 @@ void s_adam(float* p, const float* g, float* m, float* v, const AdamConsts& c,
 /// drive.
 constexpr std::int64_t kEltwiseBlock = 1 << 13;
 
+/// sum_rows fan-out block: 64 columns (256 bytes of each row) per task.
+constexpr int kSumRowsColumnBlock = 64;
+
 template <typename Fn>
 void run_blocks(std::int64_t n, std::int64_t bytes_per_elem, const Fn& fn) {
   if (n <= 0) {
@@ -339,10 +342,22 @@ void sum_rows_into(Tensor& out, const Tensor& a) {
   DPIPE_REQUIRE(out.rows() == 1 && out.cols() == a.cols(),
                 "sum_rows_into output shape mismatch");
   const OpTimer timer;
-  // Single task: each output column is one ascending chain over all rows,
-  // which cannot be split without changing the reduction.
-  detail::active_eltwise().sum_rows(out.data(), a.data(), a.cols(), a.rows(),
-                                    a.cols());
+  const EltwiseKernels& ek = detail::active_eltwise();
+  const int rows = a.rows();
+  const int cols = a.cols();
+  const std::int64_t bytes = static_cast<std::int64_t>(rows) * cols * 4;
+  if (bytes < kParallelCostThreshold) {
+    ek.sum_rows(out.data(), a.data(), cols, rows, cols);
+    return;
+  }
+  // Each output column is one ascending chain over all rows, so the work
+  // splits only by columns: fixed blocks, each summed whole by one task.
+  const int num_tasks = (cols + kSumRowsColumnBlock - 1) / kSumRowsColumnBlock;
+  detail::intraop_for_each_task(num_tasks, bytes, [&](int t) {
+    const int j = t * kSumRowsColumnBlock;
+    ek.sum_rows(out.data() + j, a.data() + j, cols, rows,
+                std::min(kSumRowsColumnBlock, cols - j));
+  });
 }
 
 }  // namespace dpipe::rt

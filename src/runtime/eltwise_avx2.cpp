@@ -157,8 +157,27 @@ void a_bias_add(float* y, std::int64_t ld, const float* bias, int rows,
 void a_sum_rows(float* out, const float* a, std::int64_t ld, int rows,
                 int cols) {
   // Vectorize across columns: each output column keeps its own ascending
-  // accumulation chain over rows, exactly like the scalar kernel.
+  // accumulation chain over rows, exactly like the scalar kernel. Strips
+  // of four vectors stream each row's 128 bytes once, with four
+  // independent chains in flight.
   int j = 0;
+  for (; j + 4 * kLanes <= cols; j += 4 * kLanes) {
+    __m256 acc0 = _mm256_setzero_ps();
+    __m256 acc1 = _mm256_setzero_ps();
+    __m256 acc2 = _mm256_setzero_ps();
+    __m256 acc3 = _mm256_setzero_ps();
+    for (int i = 0; i < rows; ++i) {
+      const float* row = a + static_cast<std::ptrdiff_t>(i) * ld + j;
+      acc0 = _mm256_add_ps(acc0, _mm256_loadu_ps(row));
+      acc1 = _mm256_add_ps(acc1, _mm256_loadu_ps(row + kLanes));
+      acc2 = _mm256_add_ps(acc2, _mm256_loadu_ps(row + 2 * kLanes));
+      acc3 = _mm256_add_ps(acc3, _mm256_loadu_ps(row + 3 * kLanes));
+    }
+    _mm256_storeu_ps(out + j, acc0);
+    _mm256_storeu_ps(out + j + kLanes, acc1);
+    _mm256_storeu_ps(out + j + 2 * kLanes, acc2);
+    _mm256_storeu_ps(out + j + 3 * kLanes, acc3);
+  }
   for (; j + kLanes <= cols; j += kLanes) {
     __m256 acc = _mm256_setzero_ps();
     for (int i = 0; i < rows; ++i) {

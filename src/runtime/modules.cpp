@@ -63,6 +63,11 @@ Tensor Linear::backward(Tensor grad_out) {
 std::vector<Tensor*> Linear::params() { return {&weight, &bias}; }
 std::vector<Tensor*> Linear::grads() { return {&grad_weight, &grad_bias}; }
 
+std::unique_ptr<Module> Linear::clone() const {
+  DPIPE_REQUIRE(inputs_.empty(), "cannot copy a module with stashed contexts");
+  return std::make_unique<Linear>(*this);
+}
+
 void Linear::zero_grad() {
   fill(grad_weight, 0.0f);
   fill(grad_bias, 0.0f);
@@ -99,6 +104,22 @@ void SiLU::drop_context() {
     TensorPool::global().release(std::move(inputs_.front()));
     inputs_.pop_front();
   }
+}
+
+std::unique_ptr<Module> SiLU::clone() const {
+  DPIPE_REQUIRE(inputs_.empty(), "cannot copy a module with stashed contexts");
+  return std::make_unique<SiLU>(*this);
+}
+
+Sequential::Sequential(const Sequential& other) : Module() {
+  modules_.reserve(other.modules_.size());
+  for (const auto& m : other.modules_) {
+    modules_.push_back(m->clone());
+  }
+}
+
+std::unique_ptr<Module> Sequential::clone() const {
+  return std::make_unique<Sequential>(*this);
 }
 
 void Sequential::push(std::unique_ptr<Module> module) {

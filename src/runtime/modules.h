@@ -33,6 +33,10 @@ class Module {
   /// Discards the oldest stashed context without computing gradients.
   /// Used for no-grad forwards (the self-conditioning first pass).
   virtual void drop_context() {}
+  /// A deep copy of the parameters and accumulated gradients. Throws
+  /// std::invalid_argument while contexts are stashed: a copy must not
+  /// inherit a half-finished micro-batch.
+  [[nodiscard]] virtual std::unique_ptr<Module> clone() const = 0;
 };
 
 class SiLU;
@@ -57,6 +61,7 @@ class Linear : public Module {
     return static_cast<int>(inputs_.size());
   }
   void drop_context() override;
+  [[nodiscard]] std::unique_ptr<Module> clone() const override;
 
   Tensor weight;  ///< [in, out]
   Tensor bias;    ///< [1, out]
@@ -79,6 +84,7 @@ class SiLU : public Module {
     return static_cast<int>(inputs_.size());
   }
   void drop_context() override;
+  [[nodiscard]] std::unique_ptr<Module> clone() const override;
 
  private:
   std::deque<Tensor> inputs_;
@@ -89,6 +95,10 @@ class SiLU : public Module {
 class Sequential : public Module {
  public:
   Sequential() = default;
+  /// Deep copy, module by module through clone(): how data-parallel
+  /// replicas get the weights of one seeded draw.
+  Sequential(const Sequential& other);
+  Sequential& operator=(const Sequential&) = delete;
   void push(std::unique_ptr<Module> module);
 
   [[nodiscard]] Tensor forward(Tensor x) override;
@@ -104,6 +114,7 @@ class Sequential : public Module {
   /// Discards one context from every module in [begin, end).
   void drop_context_range(int begin, int end);
   [[nodiscard]] Module& module(int index) { return *modules_.at(index); }
+  [[nodiscard]] std::unique_ptr<Module> clone() const override;
 
  private:
   std::vector<std::unique_ptr<Module>> modules_;

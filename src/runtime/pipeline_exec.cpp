@@ -41,10 +41,10 @@ PipelineTrainer::PipelineTrainer(const DdpmProblem& problem,
                     0,
                 "global batch must divide into replicas x micro-batches");
 
-  // Probe the runtime model's module count, then lower the configuration
-  // through the planner pipeline (partition -> 1F1B schedule -> bubble
-  // fill -> instruction generation) into the program this trainer runs.
-  const int num_modules = problem.make_backbone()->size();
+  // Lower the configuration through the planner pipeline (partition ->
+  // 1F1B schedule -> bubble fill -> instruction generation) into the
+  // program this trainer runs.
+  const int num_modules = problem.num_modules();
   DPIPE_REQUIRE(config_.num_stages <= num_modules,
                 "more stages than modules");
   TrainerLoweringSpec spec;
@@ -77,10 +77,11 @@ void PipelineTrainer::init(const DdpmProblem& problem,
                 "learning rate must be positive and finite");
   DPIPE_REQUIRE(!config_.fault.armed() || config_.fault.iteration >= 0,
                 "fault-injection iteration must be non-negative");
-  // One probe network determines the binding geometry; replicas share it.
-  std::unique_ptr<Sequential> probe = problem.make_backbone();
+  // The one seeded draw of the backbone sizes the binding and the wave
+  // order, then becomes replica 0.
+  std::unique_ptr<Sequential> net = problem.make_backbone();
   ProgramBinding::Options bind_opts;
-  bind_opts.num_modules = probe->size();
+  bind_opts.num_modules = net->size();
   bind_opts.rows_per_replica =
       config_.global_batch / config_.data_parallel_degree;
   binding_.emplace(program, bind_opts);
@@ -95,10 +96,13 @@ void PipelineTrainer::init(const DdpmProblem& problem,
   if (config_.fault.armed()) {
     arm_fault(config_.fault);
   }
-  interpreter_.emplace(problem, *binding_, config_.global_batch, *probe);
+  interpreter_.emplace(problem, *binding_, config_.global_batch, *net);
   for (int g = 0; g < config_.data_parallel_degree; ++g) {
     Replica replica;
-    replica.net = problem.make_backbone();  // Same seed: identical weights.
+    // Every replica starts from the same weights: the others copy replica
+    // 0's bits instead of drawing the backbone again.
+    replica.net = g == 0 ? std::move(net)
+                         : std::make_unique<Sequential>(*replicas_[0].net);
     if (config_.use_adam) {
       for (int s = 0; s < config_.num_stages; ++s) {
         replica.stage_adam.push_back(std::make_unique<Adam>(config_.lr));

@@ -202,6 +202,41 @@ TEST(EltwiseParity, RowOpsBitExactAcrossLevels) {
   }
 }
 
+TEST(EltwiseParity, SumRowsColumnFanOutBitExact) {
+  // At or above the cost threshold sum_rows fans out over column blocks;
+  // every column must still be one ascending chain over all rows, at every
+  // SIMD level and executor width. 4096x100 ends in a partial block; the
+  // trainer's 32x128 stays below the threshold and runs inline.
+  SimdStateGuard guard;
+  std::vector<SimdLevel> levels = {SimdLevel::kScalar};
+  if (avx2_available()) {
+    levels.push_back(SimdLevel::kAvx2);
+  }
+  for (const auto& [rows, cols] : std::vector<std::pair<int, int>>{
+           {4096, 256}, {4096, 100}, {32, 128}}) {
+    SCOPED_TRACE(::testing::Message() << rows << "x" << cols);
+    Rng rng(static_cast<std::uint64_t>(rows) * 7 + cols);
+    const Tensor a = rng.randn({rows, cols});
+    Tensor expected = Tensor::zeros({1, cols});
+    for (int i = 0; i < rows; ++i) {
+      for (int j = 0; j < cols; ++j) {
+        expected.data()[j] = expected.data()[j] + a.at(i, j);
+      }
+    }
+    for (const SimdLevel level : levels) {
+      set_simd_level(level);
+      for (const int threads : {1, 4}) {
+        SCOPED_TRACE(::testing::Message() << simd_level_name(level) << " x"
+                                          << threads);
+        set_kernel_threads(threads);
+        Tensor out({1, cols});
+        sum_rows_into(out, a);
+        expect_bit_equal(out, expected);
+      }
+    }
+  }
+}
+
 TEST(EltwiseParity, ThreadCountNeverChangesBits) {
   SimdStateGuard guard;
   // Big enough to clear the intra-op cost threshold (1 MiB of traffic), so

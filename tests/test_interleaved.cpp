@@ -302,7 +302,7 @@ TEST(Interleaved, V1TrajectoryBitIdenticalToPlain1F1B) {
   spec.data_parallel_degree = 2;
   spec.global_batch = 16;
   spec.cross_iteration = true;
-  spec.num_modules = static_cast<int>(problem.make_backbone()->size());
+  spec.num_modules = problem.num_modules();
   const rt::TrainerLowering plain = rt::lower_trainer_program(spec);
   spec.family = ScheduleFamily::kInterleaved;
   spec.vstages = 1;
@@ -322,7 +322,7 @@ TEST(Interleaved, PlacementInvariantTrajectory) {
   spec.data_parallel_degree = 2;
   spec.global_batch = 16;
   spec.cross_iteration = true;
-  spec.num_modules = static_cast<int>(problem.make_backbone()->size());
+  spec.num_modules = problem.num_modules();
   const rt::TrainerLowering unfolded = rt::lower_trainer_program(spec);
   spec.num_stages = 2;
   spec.family = ScheduleFamily::kInterleaved;
@@ -342,7 +342,7 @@ TEST(Interleaved, ThreeWayOpOrderParity) {
   spec.data_parallel_degree = 2;
   spec.global_batch = 16;
   spec.cross_iteration = true;
-  spec.num_modules = static_cast<int>(problem.make_backbone()->size());
+  spec.num_modules = problem.num_modules();
   spec.family = ScheduleFamily::kInterleaved;
   spec.vstages = 2;
   const rt::TrainerLowering l = rt::lower_trainer_program(spec);
@@ -373,8 +373,7 @@ TEST(Interleaved, TwoLayerFrozenOpThreeWayParity) {
   // merged op under its whole layer range, as the occupancy trace names
   // it, and the merge changes no bit of the trajectory.
   const rt::DdpmProblem problem(rt::DdpmConfig{});
-  ModelDesc model = rt::trainer_planner_model(
-      static_cast<int>(problem.make_backbone()->size()));
+  ModelDesc model = rt::trainer_planner_model(problem.num_modules());
   model.components[1].layers.push_back(model.components[1].layers[0]);
   const InstructionProgram split = lowered_interleaved(model, 2, 2, 4, 8.0, 2);
   InstructionProgram merged = split;

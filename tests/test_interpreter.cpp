@@ -118,7 +118,7 @@ TEST(Interpreter, ExternalProgramReproducesSelfLoweredTrajectory) {
   spec.data_parallel_degree = cfg.data_parallel_degree;
   spec.global_batch = cfg.global_batch;
   spec.cross_iteration = cfg.cross_iteration;
-  spec.num_modules = problem.make_backbone()->size();
+  spec.num_modules = problem.num_modules();
   const TrainerLowering l = lower_trainer_program(spec);
 
   PipelineTrainer self_lowered(problem, cfg);
@@ -336,7 +336,7 @@ TEST(Interpreter, RejectsCorruptedPrograms) {
   spec.num_stages = 2;
   spec.num_microbatches = 2;
   spec.global_batch = 8;
-  spec.num_modules = problem.make_backbone()->size();
+  spec.num_modules = problem.num_modules();
   const TrainerLowering l = lower_trainer_program(spec);
   PipelineRtConfig cfg;
   cfg.global_batch = 8;
@@ -377,8 +377,7 @@ TEST(Interpreter, GpipeLoweringIsPinnedAndNotBindable) {
   spec.cross_iteration = false;
   spec.num_modules = 9;
   spec.family = ScheduleFamily::kGpipe;
-  ASSERT_EQ(static_cast<int>(problem.make_backbone()->size()),
-            spec.num_modules);
+  ASSERT_EQ(problem.num_modules(), spec.num_modules);
   const TrainerLowering l = lower_trainer_program(spec);
   const std::string text = program_to_string(l.program);
   EXPECT_EQ(text.size(), 2301u);
@@ -406,7 +405,7 @@ TEST(Interpreter, RejectsStreamsThatWaitInACycle) {
   spec.num_stages = 2;
   spec.num_microbatches = 1;
   spec.global_batch = 8;
-  spec.num_modules = problem.make_backbone()->size();
+  spec.num_modules = problem.num_modules();
   InstructionProgram bad = lower_trainer_program(spec).program;
   std::vector<Instruction>& stream = bad.per_device[0];
   const auto first = [&](InstrKind kind) {
@@ -441,7 +440,7 @@ TEST(Interpreter, ReorderedGradientReceivesTrainBitIdentically) {
   spec.num_microbatches = 4;
   spec.data_parallel_degree = 2;
   spec.global_batch = 16;
-  spec.num_modules = problem.make_backbone()->size();
+  spec.num_modules = problem.num_modules();
   const TrainerLowering l = lower_trainer_program(spec);
   InstructionProgram reordered = l.program;
   std::vector<Instruction>& stream = reordered.per_device[0];
@@ -485,7 +484,7 @@ TEST(Interpreter, ReorderedGradientReceivesTrainBitIdentically) {
 
 TEST(Interpreter, BindingMapsStagesOntoDisjointModuleRanges) {
   const DdpmProblem problem(DdpmConfig{});
-  const int num_modules = problem.make_backbone()->size();
+  const int num_modules = problem.num_modules();
   TrainerLoweringSpec spec;
   spec.num_stages = 3;
   spec.num_microbatches = 2;

@@ -1,15 +1,17 @@
 // Trainer construction: pinned digests of the initial weights and of short
 // trajectories at the benchmark's trainer shapes, so any change to how a
-// trainer builds its replicas must keep every bit of what it trains.
+// trainer builds its replicas must keep every bit of what it trains; the
+// module count read from the config; and the replica copy of a backbone.
 
 #include <gtest/gtest.h>
 
-#include <cstring>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "common/hash.h"
 #include "fault/elastic.h"
+#include "runtime/optim.h"
 #include "runtime/pipeline_exec.h"
 
 namespace dpipe::rt {
@@ -26,6 +28,14 @@ std::string state_digest(const std::vector<Tensor>& params,
   bytes.append(reinterpret_cast<const char*>(losses.data()),
                losses.size() * sizeof(double));
   return fingerprint_bytes(bytes).hex();
+}
+
+std::vector<Tensor> param_values(Sequential& net) {
+  std::vector<Tensor> out;
+  for (const Tensor* p : net.params()) {
+    out.push_back(*p);
+  }
+  return out;
 }
 
 struct TrainerShape {
@@ -103,6 +113,47 @@ TEST(TrainerInit, GoldenDigests) {
   EXPECT_EQ(state_digest(controller.final_params(), controller.losses()),
             "a13f858a91c1d566290de61b22ce3663");
   EXPECT_EQ(controller.replica_divergence(), 0.0f);
+}
+
+TEST(TrainerInit, NumModulesMatchesBackbone) {
+  for (int depth = 1; depth <= 6; ++depth) {
+    DdpmConfig config;
+    config.depth = depth;
+    const DdpmProblem problem(config);
+    EXPECT_EQ(problem.num_modules(), problem.make_backbone()->size())
+        << "depth " << depth;
+  }
+}
+
+TEST(TrainerInit, ReplicaCopyIsDeep) {
+  const DdpmProblem problem(DdpmConfig{});
+  const std::unique_ptr<Sequential> source = problem.make_backbone();
+  const std::string source_digest = state_digest(param_values(*source), {});
+  Sequential copy(*source);
+  ASSERT_EQ(copy.size(), source->size());
+  EXPECT_EQ(state_digest(param_values(copy), {}), source_digest);
+  const std::vector<Tensor*> source_params = source->params();
+  const std::vector<Tensor*> copy_params = copy.params();
+  ASSERT_EQ(copy_params.size(), source_params.size());
+  for (std::size_t i = 0; i < source_params.size(); ++i) {
+    EXPECT_NE(copy_params[i]->data(), source_params[i]->data()) << i;
+    EXPECT_EQ(copy_params[i]->shape(), source_params[i]->shape()) << i;
+  }
+
+  // One SGD step on the copy moves its weights and leaves the source's.
+  const DdpmProblem::Batch batch = problem.make_batch(0, 8);
+  const Tensor input = problem.make_input(
+      batch, problem.encode_condition(batch.cond_raw), nullptr);
+  const Tensor pred = copy.forward(input);
+  (void)copy.backward(problem.loss_grad(pred, batch.noise, 8));
+  Sgd(0.1f).step(copy.params(), copy.grads());
+  EXPECT_NE(state_digest(param_values(copy), {}), source_digest);
+  EXPECT_EQ(state_digest(param_values(*source), {}), source_digest);
+
+  // A net holding a stashed (not yet backward-ed) context is not copied.
+  (void)copy.forward(input);
+  ASSERT_GT(copy.pending_contexts(), 0);
+  EXPECT_THROW(Sequential{copy}, std::invalid_argument);
 }
 
 }  // namespace

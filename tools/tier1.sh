@@ -2,7 +2,8 @@
 # Tier-1 verification: the standard build + full test suite, then a
 # ThreadSanitizer build running the concurrency-sensitive runtime and fault
 # tests (program interpreter waves on the shared executor, channel
-# shutdown, checkpoint recovery, cross-backend parity) plus the executor's
+# shutdown, checkpoint recovery, cross-backend parity, trainer
+# construction at the benchmark's shapes) plus the executor's
 # fork-join and nested/concurrent planner tests, the parallel planner-search
 # determinism tests, the kernel/pool substrate tests (row-block fan-out,
 # concurrent TensorPool), and the plan-service suites (single-flight cache,
@@ -10,7 +11,8 @@
 # determinism), then an
 # AddressSanitizer + UBSan build running the text codec suites, the plan
 # cache and service suites (the request key copies raw double bytes), the
-# wave executor's suites (its flat node and done-flag arrays), the
+# wave executor's suites (its flat node and done-flag arrays), the trainer
+# construction suite (replicas copy replica 0's tensors), the
 # partitioner suites (the bidirectional DP's dense cost and frontier
 # arrays), the schedule builder suites (the one builder body indexes
 # executor, queue and slot arrays), the validator and parity suites
@@ -30,22 +32,23 @@ cmake --build build -j"$(nproc)"
 
 echo "== tier-1: scalar-forced kernel pass (DPIPE_SIMD=scalar) =="
 # The portable fallback must stay green on machines without AVX2: force the
-# dispatch level to scalar and rerun the kernel, pool, SIMD, and trajectory
-# suites against it.
+# dispatch level to scalar and rerun the kernel, pool, SIMD, trajectory and
+# pinned trainer-digest suites against it.
 DPIPE_SIMD=scalar ./build/tests/dpipe_tests \
-  --gtest_filter='Kernels.*:TensorPool.*:Trajectory.*:RngSeed.*:SimdDispatch.*:SimdParity.*:Roofline.*:Eltwise*'
+  --gtest_filter='Kernels.*:TensorPool.*:Trajectory.*:RngSeed.*:SimdDispatch.*:SimdParity.*:Roofline.*:Eltwise*:TrainerInit.*'
 
 echo "== tier-1: ThreadSanitizer build (runtime + fault + service tests) =="
 cmake -B build-tsan -S . -DDPIPE_SANITIZE=thread
 cmake --build build-tsan -j"$(nproc)" --target dpipe_tests
 # DPIPE_THREADS=4: the executor gets three workers even on hosts with fewer
 # CPUs, so fork-joins recruit real threads and the above-threshold
-# WaveWidth.* shapes run their waves on four threads for TSan to check.
+# WaveWidth.* shapes and TrainerInit.*'s dp=2 wide trainer run their waves
+# on four threads for TSan to check.
 TSAN_OPTIONS="halt_on_error=1" DPIPE_THREADS=4 \
   ./build-tsan/tests/dpipe_tests \
-  --gtest_filter='Channel.*:PipelineTrainer.*:Equivalence.*:Fault.*:ParallelFor.*:Executor.*:WaveWidth.*:PlannerSearch.*:Kernels.*:TensorPool.*:Trajectory.*:RngSeed.*:SimdDispatch.*:SimdParity.*:Interpreter.*:Parity.*:Interleaved.*:Elastic.*:Reshard.*:CheckpointIo.*:PlanFingerprint.*:StageCostStore.*:PlanCache.*:PlanStore.*:PlanService.*:PlanProtocol.*:Eltwise*'
+  --gtest_filter='Channel.*:PipelineTrainer.*:Equivalence.*:Fault.*:ParallelFor.*:Executor.*:WaveWidth.*:PlannerSearch.*:Kernels.*:TensorPool.*:Trajectory.*:RngSeed.*:SimdDispatch.*:SimdParity.*:Interpreter.*:Parity.*:Interleaved.*:Elastic.*:Reshard.*:CheckpointIo.*:PlanFingerprint.*:StageCostStore.*:PlanCache.*:PlanStore.*:PlanService.*:PlanProtocol.*:Eltwise*:TrainerInit.*'
 
-echo "== tier-1: AddressSanitizer + UBSan build (text codecs, plan cache, wave executor, partitioner, schedule builder, validator) =="
+echo "== tier-1: AddressSanitizer + UBSan build (text codecs, plan cache, wave executor, trainer construction, partitioner, schedule builder, validator) =="
 # The canonical writer formats numbers into fixed stack buffers (or, for a
 # request key, copies each double's raw bytes) and the span reader parses
 # outside bytes: run the request/model/cluster/profiler fingerprint, plan
@@ -53,7 +56,9 @@ echo "== tier-1: AddressSanitizer + UBSan build (text codecs, plan cache, wave e
 # serializer suites (golden bytes, edge values, hostile numbers, key versus
 # text identity) under ASan + UBSan. The interpreter's static wave order
 # indexes flat node, predecessor, done-flag and tensor-slot arrays: its
-# width, interpreter and interleaved suites run here too. So do the
+# width, interpreter and interleaved suites run here too, and so does the
+# trainer construction suite: every replica but the first deep-copies the
+# first one's parameter and gradient tensors. So do the
 # partitioner suites: the bidirectional DP indexes dense (lo, hi) stage-cost
 # tables and row-major (down, up) frontier arrays, and its brute-force
 # oracle cases use unequal backbones so a swapped stride reads out of
@@ -67,7 +72,7 @@ cmake -B build-asan -S . -DDPIPE_SANITIZE=address
 cmake --build build-asan -j"$(nproc)" --target dpipe_tests
 ASAN_OPTIONS="halt_on_error=1" UBSAN_OPTIONS="print_stacktrace=1" \
   ./build-asan/tests/dpipe_tests \
-  --gtest_filter='PlanFingerprint.*:PlanCache.*:PlanStore.*:PlanService.*:PlanProtocol.*:CheckpointIo.*:Serialize.*:WaveWidth.*:Interpreter.*:Interleaved.*:Bidirectional.*:StageCostCache.*:Partitioner.*:Schedule1F1B.*:ScheduleGPipe.*:ScheduleBidirectional.*:ScheduleBuilder.*:Validator.*:Parity.*'
+  --gtest_filter='PlanFingerprint.*:PlanCache.*:PlanStore.*:PlanService.*:PlanProtocol.*:CheckpointIo.*:Serialize.*:WaveWidth.*:Interpreter.*:Interleaved.*:Bidirectional.*:StageCostCache.*:Partitioner.*:Schedule1F1B.*:ScheduleGPipe.*:ScheduleBidirectional.*:ScheduleBuilder.*:Validator.*:Parity.*:TrainerInit.*'
 # A frame header claiming 60 MiB followed by 3 bytes must fail as truncated
 # having allocated only for the bytes that came: any allocation above 16 MB
 # aborts the run.
